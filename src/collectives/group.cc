@@ -94,7 +94,6 @@ GroupDirectory::rankOf(GroupId gid, nectarine::TaskId member) const
 std::uint32_t
 GroupDirectory::epoch(GroupId gid) const
 {
-    std::lock_guard<std::mutex> lock(_epochMutex);
     return info(gid).epoch;
 }
 
@@ -102,7 +101,6 @@ bool
 GroupDirectory::reportFailure(GroupId gid, std::uint32_t fromEpoch,
                               std::optional<nectarine::TaskId> suspect)
 {
-    std::lock_guard<std::mutex> lock(_epochMutex);
     GroupInfo &g = mutableInfo(gid);
     if (g.epoch != fromEpoch)
         return false; // another survivor already bumped it

@@ -21,7 +21,6 @@
 
 #include <cstdint>
 #include <map>
-#include <mutex>
 #include <optional>
 #include <string>
 #include <vector>
@@ -106,8 +105,7 @@ class GroupDirectory
     const GroupInfo &info(GroupId gid) const;
     std::optional<GroupId> lookup(const std::string &name) const;
 
-    /** Current epoch of @p gid (safe against a concurrent
-     *  reportFailure() from another cluster's worker). */
+    /** Current epoch of @p gid. */
     std::uint32_t epoch(GroupId gid) const;
 
     /** Rank of @p member in @p gid, or -1. */
@@ -116,8 +114,8 @@ class GroupDirectory
     /**
      * A member observed a peer dead during an operation started at
      * @p fromEpoch.  The first report per epoch bumps it (recording
-     * @p suspect, when known); concurrent reports from other
-     * survivors find the epoch already advanced and change nothing.
+     * @p suspect, when known); later reports from other survivors
+     * find the epoch already advanced and change nothing.
      *
      * @return true when this call performed the bump.
      */
@@ -155,9 +153,6 @@ class GroupDirectory
     GroupId nextId = 1;
     sim::Counter _epochBumps;
     CollectiveProbe *_probe = nullptr;
-    /** Guards epoch reads against reportFailure() bumps: survivors
-     *  on different clusters race only on this one word. */
-    mutable std::mutex _epochMutex;
 };
 
 } // namespace nectar::collective

@@ -71,49 +71,18 @@ describe(const FaultEvent &e)
 
 ChaosController::ChaosController(nectarine::NectarSystem &system,
                                  const FaultPlan &faultPlan,
-                                 PlanPolicy policy, ChaosMode mode)
+                                 PlanPolicy policy)
     : sys(system), plan(faultPlan),
       tracer(system.eventq(), "chaos." + plan.name)
 {
     for (const auto &e : plan.events)
         validate(e);
     checkStateMachines(policy);
-    if (mode == ChaosMode::scheduled) {
-        for (std::size_t i = 0; i < plan.events.size(); ++i) {
-            sys.eventq().schedule(
-                plan.events[i].at,
-                [this, i] { execute(plan.events[i], i); },
-                sim::EventPriority::first);
-        }
-        return;
-    }
-    // Stepped: the driver applies events itself, in the same order
-    // the queue would have run them (time, plan order within a tick).
-    _order.resize(plan.events.size());
-    for (std::size_t i = 0; i < _order.size(); ++i)
-        _order[i] = i;
-    std::stable_sort(_order.begin(), _order.end(),
-                     [this](std::size_t a, std::size_t b) {
-                         return plan.events[a].at < plan.events[b].at;
-                     });
-}
-
-sim::Tick
-ChaosController::nextFaultAt() const
-{
-    if (!pendingFaults())
-        return sim::maxTick;
-    return plan.events[_order[_applied]].at;
-}
-
-void
-ChaosController::applyDueFaults(sim::Tick t)
-{
-    while (pendingFaults() &&
-           plan.events[_order[_applied]].at <= t) {
-        std::size_t i = _order[_applied];
-        execute(plan.events[i], i);
-        ++_applied;
+    for (std::size_t i = 0; i < plan.events.size(); ++i) {
+        sys.eventq().schedule(
+            plan.events[i].at,
+            [this, i] { execute(plan.events[i], i); },
+            sim::EventPriority::first);
     }
 }
 

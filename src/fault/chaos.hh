@@ -31,23 +31,6 @@ enum class PlanPolicy
     normalize, ///< Drop the offending events (counted in the report).
 };
 
-/**
- * How fault events reach the system.
- *
- * `scheduled` (the default) posts each event on the simulation event
- * queue at EventPriority::first.  `stepped` posts nothing: the driver
- * alternates engine.runUntil(nextFaultAt() - 1) with
- * applyDueFaults(), so under the parallel engine every fault mutates
- * shared topology state (link flags, route tables, HUB ports) in the
- * single-threaded gap between drive calls — the same "adversary moves
- * first at tick t" semantics, with no worker racing the mutation.
- */
-enum class ChaosMode
-{
-    scheduled,
-    stepped,
-};
-
 /** Executes one FaultPlan against one NectarSystem. */
 class ChaosController
 {
@@ -55,32 +38,12 @@ class ChaosController
     /**
      * Validates the plan's targets against the system (fatal on a
      * nonexistent hub, port, or site), checks its event sequence
-     * against each target's state machine under @p policy, and — in
-     * ChaosMode::scheduled — schedules every surviving event.
+     * against each target's state machine under @p policy, and
+     * schedules every surviving event.
      */
     ChaosController(nectarine::NectarSystem &system,
                     const FaultPlan &plan,
-                    PlanPolicy policy = PlanPolicy::strict,
-                    ChaosMode mode = ChaosMode::scheduled);
-
-    // ----- stepped mode (parallel-engine driver) ---------------------
-
-    /** True while stepped-mode fault events remain unapplied. */
-    bool
-    pendingFaults() const
-    {
-        return _applied < _order.size();
-    }
-
-    /** Tick of the next unapplied event (sim::maxTick when none). */
-    sim::Tick nextFaultAt() const;
-
-    /**
-     * Apply every remaining event with time <= @p t, in execution
-     * order (time, then plan order).  Call only between engine drive
-     * calls — the mutations assume exclusive access.
-     */
-    void applyDueFaults(sim::Tick t);
+                    PlanPolicy policy = PlanPolicy::strict);
 
     /** Attach a trace sink for per-event records. */
     void attachTracer(sim::TraceSink &sink) { tracer.attach(sink); }
@@ -115,10 +78,6 @@ class ChaosController
     std::size_t executed = 0;
     std::size_t dropped = 0;
     std::vector<CampaignReport::Entry> log;
-    /** Stepped mode: event indices in (time, plan order); next to
-     *  apply is _order[_applied]. */
-    std::vector<std::size_t> _order;
-    std::size_t _applied = 0;
 };
 
 } // namespace nectar::fault

@@ -13,7 +13,6 @@
 #include "serving/serving.hh"
 #include "sim/coro.hh"
 #include "sim/logging.hh"
-#include "sim/parallel.hh"
 #include "sim/random.hh"
 #include "topo/topofile.hh"
 
@@ -196,21 +195,8 @@ runCase(const FaultPlan &plan, const FuzzConfig &cfg)
     site.transport.maxRetransmits = 5;
     site.transport.maxRto = 2 * ms;
 
-    const topo::TopologyDescription desc = harnessDescription(cfg);
-    const bool parallel = cfg.threads > 1;
-    if (parallel && cfg.injectDeliveryBug)
-        sim::fatal("FuzzConfig: injectDeliveryBug requires the "
-                   "single-queue harness (threads <= 1)");
-    std::unique_ptr<sim::ParallelEngine> engine;
-    std::unique_ptr<nectarine::NectarSystem> sys;
-    if (parallel) {
-        engine = std::make_unique<sim::ParallelEngine>(desc.numHubs(),
-                                                       cfg.threads);
-        sys = nectarine::NectarSystem::fromDescription(*engine, desc,
-                                                       site);
-    } else {
-        sys = nectarine::NectarSystem::fromDescription(eq, desc, site);
-    }
+    auto sys = nectarine::NectarSystem::fromDescription(
+        eq, harnessDescription(cfg), site);
     const auto n = sys->siteCount();
 
     DeliveryOracle oracle;
@@ -302,37 +288,15 @@ runCase(const FaultPlan &plan, const FuzzConfig &cfg)
                                                              scfg);
     }
 
-    ChaosController chaos(*sys, plan, PlanPolicy::normalize,
-                          parallel ? ChaosMode::stepped
-                                   : ChaosMode::scheduled);
-    sim::Tick quiescedAt = 0;
-    if (parallel) {
-        // Stepped drive: run to just before each fault time, apply
-        // the due faults while the engine is single-threaded, repeat;
-        // then drain.  runUntil's clock alignment makes the next
-        // target always >= every shard's now.
-        while (chaos.pendingFaults()) {
-            sim::Tick t = chaos.nextFaultAt();
-            if (t > 0)
-                engine->runUntil(t - 1);
-            chaos.applyDueFaults(t);
-        }
-        engine->run();
-        for (int c = 0; c < engine->clusters(); ++c)
-            quiescedAt =
-                std::max(quiescedAt, engine->queueFor(c).now());
-    } else {
-        eq.run();
-        quiescedAt = eq.now();
-    }
-
+    ChaosController chaos(*sys, plan, PlanPolicy::normalize);
+    eq.run();
     oracle.finish();
 
     FuzzResult res;
     res.violations = oracle.violations();
     res.oracleSummary = oracle.summary();
     res.report = chaos.report();
-    res.quiescedAt = quiescedAt;
+    res.quiescedAt = eq.now();
     res.reliableSends = oracle.reliableSends();
     res.reliableDeliveries = oracle.reliableDeliveries();
     res.collectiveOps = oracle.collectiveOps();

@@ -83,23 +83,8 @@ struct FuzzConfig
      * every reliable delivery landing inside one of the plan's burst
      * windows twice, manufacturing a duplicate-delivery violation
      * whose minimal repro is a single burst window plus traffic.
-     * Incompatible with threads > 1 (the wrapper reads one global
-     * clock).
      */
     bool injectDeliveryBug = false;
-
-    /**
-     * Worker threads for the simulation core.  <= 1 builds the
-     * classic single-queue harness; > 1 builds the system on a
-     * sim::ParallelEngine (one cluster per HUB) and drives the fault
-     * plan in stepped mode: runUntil() to just before each fault
-     * time, then the fault mutates topology state in the
-     * single-threaded gap.  The oracle's verdict is unchanged —
-     * fuzzing under threads additionally exercises the parallel
-     * core's mailboxes, barriers, and shared-service locking (run it
-     * under the tsan preset for the full race gate).
-     */
-    int threads = 1;
 };
 
 /** Verdict of one fuzz case. */

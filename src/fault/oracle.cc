@@ -35,7 +35,6 @@ DeliveryOracle::onReliableSend(transport::CabAddress src,
                                std::uint16_t dstMailbox,
                                std::uint32_t msgId, std::size_t)
 {
-    std::lock_guard<std::mutex> lock(_mutex);
     ++_reliableSends;
     SendRec &rec = sends[key(src, dst, msgId)];
     if (rec.reliable && rec.outcome == Outcome::pending) {
@@ -56,7 +55,6 @@ DeliveryOracle::onReliableOutcome(transport::CabAddress src,
                                   std::uint16_t dstMailbox,
                                   std::uint32_t msgId, bool ok)
 {
-    std::lock_guard<std::mutex> lock(_mutex);
     auto it = sends.find(key(src, dst, msgId));
     if (it == sends.end() || !it->second.reliable) {
         violate("outcome for unknown send: " +
@@ -84,7 +82,6 @@ DeliveryOracle::onDatagramSend(transport::CabAddress src,
                                std::uint16_t dstMailbox,
                                std::uint32_t msgId)
 {
-    std::lock_guard<std::mutex> lock(_mutex);
     ++_datagramSends;
     SendRec &rec = sends[key(src, dst, msgId)];
     rec.dstMailbox = dstMailbox;
@@ -99,7 +96,6 @@ DeliveryOracle::onDeliver(transport::CabAddress src,
                           std::uint32_t msgId, bool reliable,
                           std::size_t)
 {
-    std::lock_guard<std::mutex> lock(_mutex);
     if (reliable)
         ++_reliableDelivered;
     else
@@ -133,7 +129,6 @@ DeliveryOracle::onDeliver(transport::CabAddress src,
 void
 DeliveryOracle::onCrash(transport::CabAddress addr)
 {
-    std::lock_guard<std::mutex> lock(_mutex);
     // A crash wipes the receiver's mailboxes and duplicate-
     // suppression state: deliveries made before it no longer count
     // against the at-most-once budget.
@@ -150,7 +145,6 @@ DeliveryOracle::onRestart(transport::CabAddress)
 void
 DeliveryOracle::onCollectiveStart(collective::GroupId gid, int rank)
 {
-    std::lock_guard<std::mutex> lock(_mutex);
     ++_collectiveStarts;
     ++openOps[(static_cast<std::uint64_t>(gid) << 32) |
               static_cast<std::uint32_t>(rank)];
@@ -162,7 +156,6 @@ DeliveryOracle::onCollectiveEnd(collective::GroupId gid, int rank,
                                 std::uint32_t startEpoch,
                                 std::uint32_t endEpoch)
 {
-    std::lock_guard<std::mutex> lock(_mutex);
     ++_collectiveEnds;
     auto k = (static_cast<std::uint64_t>(gid) << 32) |
              static_cast<std::uint32_t>(rank);
@@ -198,7 +191,6 @@ void
 DeliveryOracle::onEpochBump(collective::GroupId gid,
                             std::uint32_t newEpoch)
 {
-    std::lock_guard<std::mutex> lock(_mutex);
     ++_epochBumps;
     std::uint32_t &last = lastEpoch[gid];
     if (newEpoch <= last)
@@ -213,7 +205,6 @@ DeliveryOracle::onEpochBump(collective::GroupId gid,
 void
 DeliveryOracle::finish()
 {
-    std::lock_guard<std::mutex> lock(_mutex);
     if (finished)
         return;
     finished = true;

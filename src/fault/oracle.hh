@@ -37,7 +37,6 @@
 
 #include <cstdint>
 #include <map>
-#include <mutex>
 #include <string>
 #include <vector>
 
@@ -155,15 +154,6 @@ class DeliveryOracle : public transport::DeliveryProbe,
     std::uint64_t _collectiveFails = 0;
     std::uint64_t _epochBumps = 0;
     bool finished = false;
-
-    /**
-     * Serializes the ledger under the parallel engine, where probes
-     * fire from every cluster's worker.  The *verdict* (pass/fail and
-     * the violation set) stays deterministic — each check keys on
-     * simulation state, not arrival order — but the violation list's
-     * order is only reproducible on single-queue runs.
-     */
-    mutable std::mutex _mutex;
 };
 
 } // namespace nectar::fault

@@ -43,7 +43,7 @@ Nectarine::createTask(std::size_t siteIndex, const std::string &name,
            cabos::Mailbox &inbox, TaskBody body) -> sim::Task<void> {
             TaskContext ctx(api, id, site, inbox);
             co_await body(ctx);
-            api.completed.fetch_add(1, std::memory_order_relaxed);
+            ++api.completed;
         }(*this, id, site, inbox, std::move(body)));
     return id;
 }

@@ -18,7 +18,6 @@
 
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <functional>
 #include <map>
@@ -202,11 +201,7 @@ class Nectarine
                                 const std::string &name);
 
     /** Mark an externally run task as completed. */
-    void
-    noteExternalTaskDone()
-    {
-        completed.fetch_add(1, std::memory_order_relaxed);
-    }
+    void noteExternalTaskDone() { ++completed; }
 
     /** Find a task by name. */
     std::optional<TaskId> lookup(const std::string &name) const;
@@ -215,11 +210,7 @@ class Nectarine
     std::size_t taskCount() const { return tasks.size(); }
 
     /** Tasks that have finished their body. */
-    int
-    completedTasks() const
-    {
-        return completed.load(std::memory_order_relaxed);
-    }
+    int completedTasks() const { return completed; }
 
     NectarSystem &system() { return sys; }
 
@@ -250,10 +241,7 @@ class Nectarine
     std::map<std::string, TaskId> names;
     std::vector<TaskInfo> tasks;
     std::map<transport::CabAddress, std::uint16_t> nextIndex;
-    /** Relaxed atomic: task bodies on different cluster workers all
-     *  bump this; only the aggregate count is read (after a drain, or
-     *  by single-threaded drivers polling progress). */
-    std::atomic<int> completed{0};
+    int completed = 0;
 };
 
 } // namespace nectar::nectarine

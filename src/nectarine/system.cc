@@ -11,19 +11,12 @@ NectarSystem::NectarSystem(sim::EventQueue &eq,
 {
     if (!this->topology)
         sim::fatal("NectarSystem: null topology");
-    // Each HUB anchors one thread-partition cluster: tag it (and
-    // its ports/controller) with its own index.  CAB stacks join
-    // their HUB's cluster in addCab; fiber links stay unowned —
-    // they are the sanctioned mediated crossings.
+    // Each HUB anchors one partition cluster: tag it (and its
+    // ports/controller) with its own index.  CAB stacks join their
+    // HUB's cluster in addCab; fiber links stay unowned — they are
+    // the sanctioned mediated crossings.
     for (int h = 0; h < this->topology->numHubs(); ++h)
         this->topology->hubAt(h).setOwnerCluster(h);
-}
-
-NectarSystem::NectarSystem(sim::ShardSet &shards,
-                           std::unique_ptr<topo::Topology> topology)
-    : NectarSystem(shards.queueFor(0), std::move(topology))
-{
-    _shards = &shards;
 }
 
 CabSite &
@@ -39,12 +32,7 @@ NectarSystem::addCab(int hubIndex, hub::PortId port,
     std::string cab_name =
         name.empty() ? "cab" + std::to_string(site->address) : name;
 
-    // The whole stack joins its HUB's cluster: the CAB board anchors
-    // the cluster's queue and the kernel/datalink/transport layers
-    // inherit it through the component chain.
-    sim::EventQueue &q =
-        _shards != nullptr ? _shards->queueFor(hubIndex) : eq;
-    site->board = std::make_unique<cab::Cab>(q, cab_name, config.cab);
+    site->board = std::make_unique<cab::Cab>(eq, cab_name, config.cab);
     auto &tx = topology->attachEndpoint(*site->board, hubIndex, port,
                                         cab_name, fiberDelay);
     site->board->attachTx(tx);
@@ -99,19 +87,6 @@ NectarSystem::fromDescription(sim::EventQueue &eq,
 {
     auto sys = std::make_unique<NectarSystem>(
         eq, topo::buildTopology(eq, desc, hubConfig));
-    for (const topo::CabDecl &c : desc.cabs)
-        sys->addCab(c.hub, c.port, c.name, config, c.latency);
-    return sys;
-}
-
-std::unique_ptr<NectarSystem>
-NectarSystem::fromDescription(sim::ShardSet &shards,
-                              const topo::TopologyDescription &desc,
-                              const SiteConfig &config,
-                              const hub::HubConfig &hubConfig)
-{
-    auto sys = std::make_unique<NectarSystem>(
-        shards, topo::buildTopology(shards, desc, hubConfig));
     for (const topo::CabDecl &c : desc.cabs)
         sys->addCab(c.hub, c.port, c.name, config, c.latency);
     return sys;

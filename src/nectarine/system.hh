@@ -58,14 +58,6 @@ class NectarSystem
                  std::unique_ptr<topo::Topology> topology);
 
     /**
-     * Shard-aware assembly: each CAB stack joins its HUB's cluster
-     * queue (shards.queueFor(hubIndex)).  Pass a topology built on
-     * the same shard set.  The shard set must outlive the system.
-     */
-    NectarSystem(sim::ShardSet &shards,
-                 std::unique_ptr<topo::Topology> topology);
-
-    /**
      * Attach a CAB to @p hubIndex/@p port with a full software stack.
      *
      * @param name Instance name ("" derives cab<N>).
@@ -92,10 +84,6 @@ class NectarSystem
     topo::Topology &topo() { return *topology; }
     transport::NetworkDirectory &directory() { return dir; }
     sim::EventQueue &eventq() { return eq; }
-
-    /** The shard set this system was assembled on, or nullptr for
-     *  the classic single-queue assembly. */
-    sim::ShardSet *shards() { return _shards; }
 
     /**
      * Attach @p probe to every existing site's transport and to
@@ -128,20 +116,6 @@ class NectarSystem
                     const hub::HubConfig &hubConfig =
                         defaultHubConfig());
 
-    /**
-     * Shard-aware fromDescription(): HUB h and its CABs live on
-     * @p shards.queueFor(h); trunks cross through the shard set's
-     * mailboxes.  The shard set needs one cluster per declared HUB
-     * (sim::ParallelEngine(desc.hubs.size(), threads), or a
-     * SequentialShardSet for the one-queue baseline).
-     */
-    static std::unique_ptr<NectarSystem>
-    fromDescription(sim::ShardSet &shards,
-                    const topo::TopologyDescription &desc,
-                    const SiteConfig &config = {},
-                    const hub::HubConfig &hubConfig =
-                        defaultHubConfig());
-
     /** fromDescription() of a .topo file (topo::loadTopologyFile). */
     static std::unique_ptr<NectarSystem>
     fromTopoFile(sim::EventQueue &eq, const std::string &path,
@@ -166,7 +140,6 @@ class NectarSystem
 
   private:
     sim::EventQueue &eq;
-    sim::ShardSet *_shards = nullptr;
     std::unique_ptr<topo::Topology> topology;
     transport::NetworkDirectory dir;
     std::vector<std::unique_ptr<CabSite>> sites;

@@ -212,33 +212,6 @@ FiberLink::sendStolen(WireItem item)
 void
 FiberLink::deliver(WireItem item, Tick firstByte, Tick lastByte)
 {
-    if (_crossActive) {
-        // Trunk delivery.  The closure runs on the destination
-        // cluster's worker: it captures everything it needs by value
-        // (plus the set-once sink/trace pointers) so it never reads
-        // this link's mutable transmit state.  The trace mix is the
-        // cross-assembly determinism witness — identical values in
-        // identical order whether the closure was scheduled directly
-        // (single-queue assembly) or travelled through the mailbox.
-        const std::uint64_t seq = ++_crossSeq;
-        FiberSink *dstSink = sink;
-        sim::ClusterFingerprint *trace = _crossTrace;
-        const sim::ClusterId dst = _crossDst;
-        sim::EventFn fn = [dstSink, trace, dst, seq,
-                           item = std::move(item), firstByte,
-                           lastByte]() mutable {
-            trace->mix(dst, firstByte);
-            trace->mix(dst, seq);
-            dstSink->fiberDeliver(std::move(item), firstByte,
-                                  lastByte);
-        };
-        if (_crossChannel != nullptr)
-            _crossChannel->post(firstByte, std::move(fn));
-        else
-            eventq().schedule(firstByte, std::move(fn),
-                              sim::crossPriority(_crossSrc));
-        return;
-    }
     eventq().schedule(
         firstByte,
         [this, item = std::move(item), firstByte, lastByte]() mutable {

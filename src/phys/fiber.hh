@@ -25,7 +25,6 @@
 
 #include "phys/wire.hh"
 #include "sim/component.hh"
-#include "sim/parallel.hh"
 #include "sim/random.hh"
 #include "sim/stats.hh"
 
@@ -139,37 +138,6 @@ class FiberLink : public sim::Component
     bool connected() const { return sink != nullptr; }
 
     /**
-     * Mark this link as a cross-cluster trunk: deliveries execute on
-     * the destination cluster in the reserved cross-priority band
-     * (sim::crossPriority(src)), mix into the cluster trace, and —
-     * when @p channel is non-null — travel through the SPSC mailbox
-     * instead of being scheduled directly.  Must be called at build
-     * time, before any traffic; all fields are read-only afterwards
-     * (the delivery closure runs on the destination worker).
-     */
-    void
-    routeCross(sim::ClusterId srcCluster, sim::ClusterId dstCluster,
-               sim::CrossChannel *channel,
-               sim::ClusterFingerprint *trace)
-    {
-        _crossSrc = srcCluster;
-        _crossDst = dstCluster;
-        _crossChannel = channel;
-        _crossTrace = trace;
-        _crossActive = true;
-    }
-
-    /** True once routeCross() marked this link as a trunk. */
-    bool crossRouted() const { return _crossActive; }
-
-    /**
-     * Earliest possible influence on the remote end, relative to the
-     * send that causes it: one byte's serialization plus propagation.
-     * This is the link's contribution to the conservative lookahead.
-     */
-    Tick minLatency() const { return byteTime + propDelay; }
-
-    /**
      * Serialize an item onto the fiber in FIFO order.
      *
      * Transmission begins when the transmitter becomes free; the
@@ -254,16 +222,6 @@ class FiberLink : public sim::Component
     Tick byteTime;
     Tick _busyUntil = 0;
     Tick _busyTicks = 0;
-
-    // Cross-cluster trunk routing (set once at build; see
-    // routeCross()).  _crossSeq stamps deliveries in send order and
-    // is only touched by the owning (source) cluster's worker.
-    sim::ClusterId _crossSrc = sim::unownedCluster;
-    sim::ClusterId _crossDst = sim::unownedCluster;
-    sim::CrossChannel *_crossChannel = nullptr;
-    sim::ClusterFingerprint *_crossTrace = nullptr;
-    bool _crossActive = false;
-    std::uint64_t _crossSeq = 0;
 
     FaultModel faults;
     sim::Random rng;

@@ -135,15 +135,6 @@ ServingWorkload::pickDestination(std::size_t host, HostState &hs)
     return d;
 }
 
-sim::EventQueue &
-ServingWorkload::queueAt(std::size_t site)
-{
-    // The site's whole stack shares one queue; under the parallel
-    // engine it is the site's cluster shard, so a host's coroutines
-    // run on (and only on) that cluster's worker.
-    return sys.site(site).transport->eventq();
-}
-
 bool
 ServingWorkload::admitArrival(std::size_t host, HostState &hs)
 {
@@ -190,7 +181,7 @@ ServingWorkload::requestOnce(std::size_t host, std::size_t dst,
 {
     nectarine::CabSite &site = sys.site(host);
     HostState &hs = *hosts[host];
-    sim::EventQueue &eq = queueAt(host);
+    sim::EventQueue &eq = sys.eventq();
     Tick t0 = eq.now();
 
     std::vector<std::uint8_t> req(cfg.requestBytes);
@@ -230,7 +221,7 @@ Task<void>
 ServingWorkload::driverLoop(std::size_t host)
 {
     HostState &hs = *hosts[host];
-    sim::EventQueue &eq = queueAt(host);
+    sim::EventQueue &eq = sys.eventq();
     const double hostsD = static_cast<double>(sys.siteCount());
     const double meanGapNs =
         hostsD * 1e9 / std::max(cfg.offeredRps, 1.0);
@@ -283,7 +274,7 @@ Task<void>
 ServingWorkload::closedWorker(std::size_t host, int worker)
 {
     HostState &hs = *hosts[host];
-    sim::EventQueue &eq = queueAt(host);
+    sim::EventQueue &eq = sys.eventq();
     // Stagger worker start so a host's workers do not fire in
     // lockstep at tick zero.
     co_await sim::Delay(

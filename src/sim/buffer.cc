@@ -1,7 +1,6 @@
 #include "buffer.hh"
 
 #include <algorithm>
-#include <mutex>
 
 #include "invariant.hh"
 
@@ -11,40 +10,15 @@ namespace nectar::sim {
 // BufferArena.
 // --------------------------------------------------------------------
 
-namespace {
-
-/**
- * Static root keeping every per-thread arena reachable, so
- * LeakSanitizer does not report the intentionally leaked instances
- * after their owning thread exits.  Leaked for the same destructor-
- * order reason as the arenas themselves.
- */
-// nectar-lint: global-ok LSan root for the leaked per-thread arenas
-std::vector<BufferArena *> *arenaRegistry =
-    new std::vector<BufferArena *>;
-// nectar-lint: global-ok paired with arenaRegistry above
-std::mutex *arenaRegistryMutex = new std::mutex;
-
-} // namespace
-
 BufferArena &
 BufferArena::instance()
 {
-    // Leaked on purpose: Buffers held by static or thread-local state
-    // may be destroyed after any function-local static arena would
-    // be, and their destructors recycle into the arena.  One arena
-    // per thread: each parallel-engine worker recycles its own
-    // cluster's buffers with no sharing and no locks (a Buffer is
-    // always released on the thread that owns its cluster — the PR 9
-    // partition map proves payloads don't migrate off-chokepoint).
-    // nectar-lint: global-ok per-thread recycling arena, registered
-    // with a static root so LSan keeps considering it reachable
-    thread_local BufferArena *arena = [] {
-        auto *a = new BufferArena;
-        std::lock_guard<std::mutex> lock(*arenaRegistryMutex);
-        arenaRegistry->push_back(a);
-        return a;
-    }();
+    // Leaked on purpose: Buffers held by static state may be
+    // destroyed after a function-local static arena would be, and
+    // their destructors recycle into the arena.  The static pointer
+    // keeps the leaked arena reachable for LeakSanitizer.
+    // nectar-lint: global-ok process-wide recycling arena
+    static BufferArena *arena = new BufferArena;
     return *arena;
 }
 

@@ -13,8 +13,8 @@
 namespace nectar::sim {
 
 /**
- * Thread-partition owner tag: the cluster (a HUB plus its CABs, per
- * the partition map emitted by nectar-lint --graph-out) a component
+ * Partition owner tag: the cluster (a HUB plus its CABs, per the
+ * partition map emitted by nectar-lint --graph-out) a component
  * belongs to.  unownedCluster means "not tagged": shared
  * infrastructure like fiber links, or a system assembled without
  * cluster tagging.  See sim/owner.hh for the checked-build
@@ -56,7 +56,7 @@ class Component
     /** Current simulated time. */
     Tick now() const { return _eventq.now(); }
 
-    /** Owning thread-partition cluster, or unownedCluster. */
+    /** Owning partition cluster, or unownedCluster. */
     ClusterId ownerCluster() const { return _owner; }
 
     /**

@@ -26,7 +26,6 @@
 #include <coroutine>
 #include <deque>
 #include <exception>
-#include <mutex>
 #include <optional>
 #include <utility>
 #include <vector>
@@ -271,10 +270,6 @@ struct Detached
  */
 struct DetachedFrameSet
 {
-    /** Guards frames: detached coroutines are created on the control
-     *  thread but complete (and unregister) on whichever parallel-
-     *  engine worker owns their cluster. */
-    std::mutex mu;
     std::vector<std::coroutine_handle<Detached::promise_type>> frames;
 
     ~DetachedFrameSet() { reap(); }
@@ -282,18 +277,10 @@ struct DetachedFrameSet
     void
     reap()
     {
-        while (true) {
-            std::coroutine_handle<Detached::promise_type> h;
-            {
-                std::lock_guard<std::mutex> lock(mu);
-                if (frames.empty())
-                    return;
-                h = frames.back();
-            }
-            // Destroy outside the lock: ~promise_type re-enters the
-            // registry to unregister the frame being destroyed.
-            h.destroy();
-        }
+        // Each destroy() runs ~promise_type, which unregisters the
+        // frame, so the loop always takes the current last one.
+        while (!frames.empty())
+            frames.back().destroy();
     }
 };
 
@@ -301,7 +288,7 @@ inline DetachedFrameSet &
 detachedFrames()
 {
     // nectar-lint: global-ok detached-frame registry shared with the
-    // reaper hook; internally mutex-guarded (see DetachedFrameSet)
+    // reaper hook
     static DetachedFrameSet set;
     return set;
 }
@@ -316,7 +303,6 @@ inline Detached::promise_type::promise_type()
 {
     detachedReaper = &reapDetachedFrames;
     auto &set = detachedFrames();
-    std::lock_guard<std::mutex> lock(set.mu);
     regIndex = set.frames.size();
     set.frames.push_back(
         std::coroutine_handle<promise_type>::from_promise(*this));
@@ -324,9 +310,7 @@ inline Detached::promise_type::promise_type()
 
 inline Detached::promise_type::~promise_type()
 {
-    auto &set = detachedFrames();
-    std::lock_guard<std::mutex> lock(set.mu);
-    auto &v = set.frames;
+    auto &v = detachedFrames().frames;
     v[regIndex] = v.back();
     v[regIndex].promise().regIndex = regIndex;
     v.pop_back();
@@ -344,9 +328,7 @@ runDetached(Task<void> t)
 inline std::size_t
 liveDetachedFrames()
 {
-    auto &set = detail::detachedFrames();
-    std::lock_guard<std::mutex> lock(set.mu);
-    return set.frames.size();
+    return detail::detachedFrames().frames.size();
 }
 
 /**

@@ -24,7 +24,6 @@
 
 #pragma once
 
-#include <atomic>
 #include <cstddef>
 #include <cstdint>
 #include <new>
@@ -73,7 +72,7 @@ class EventFn
             _ops = &inlineOps<Stored>;
         } else {
             _heap = new Stored(std::forward<F>(f));
-            heapAllocs.fetch_add(1, std::memory_order_relaxed);
+            ++heapAllocs;
             _ops = &heapOps<Stored>;
         }
     }
@@ -121,7 +120,7 @@ class EventFn
     static std::uint64_t
     heapAllocCount() noexcept
     {
-        return heapAllocs.load(std::memory_order_relaxed);
+        return heapAllocs;
     }
 
   private:
@@ -171,11 +170,8 @@ class EventFn
         true,
     };
 
-    // Diagnostics counter shared by every shard's event loop; relaxed
-    // atomic because cluster workers construct events concurrently
-    // and only the aggregate total is ever read.
     // nectar-lint: global-ok allocation diagnostics counter only
-    static inline std::atomic<std::uint64_t> heapAllocs{0};
+    static inline std::uint64_t heapAllocs = 0;
 
     union {
         alignas(std::max_align_t) unsigned char _buf[sboBytes];

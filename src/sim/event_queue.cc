@@ -29,10 +29,8 @@ constexpr auto fnvPow = [] {
 
 EventQueue::~EventQueue()
 {
-    if (detail::liveEventQueues.fetch_sub(1) == 1) {
-        if (auto *reaper = detail::detachedReaper.load())
-            reaper();
-    }
+    if (--detail::liveEventQueues == 0 && detail::detachedReaper)
+        detail::detachedReaper();
 }
 
 void
@@ -658,19 +656,6 @@ EventQueue::runUntil(Tick until, std::uint64_t limit)
         warn("EventQueue::runUntil: event limit reached");
     _now = until;
     return n;
-}
-
-Tick
-EventQueue::peekNextTick()
-{
-    const Tick t = nextTick();
-    if (_ready != nullptr) {
-        // Same overshoot handling as runUntil(): the peek must leave
-        // the direct-fire candidate filed as due, not parked.
-        heapPush(_due, entryFor(_ready));
-        _ready = nullptr;
-    }
-    return t;
 }
 
 } // namespace nectar::sim

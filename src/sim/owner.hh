@@ -12,8 +12,8 @@
  * assert that the caller and callee really share a cluster — so a
  * wiring mistake that the lexical pass cannot see (say, a test
  * harness handing CAB 3's datalink to CAB 7's transport) panics in a
- * checked build instead of silently producing a graph the parallel
- * core would partition wrongly.
+ * checked build instead of silently coupling two clusters outside the
+ * fiber chokepoints.
  *
  * Untagged components (unownedCluster) pass every check: shared
  * infrastructure such as fiber links is deliberately unowned, and
@@ -39,7 +39,7 @@ sameOwnerCluster(const Component &a, const Component &b)
 } // namespace nectar::sim
 
 /**
- * Assert two components share a thread-partition cluster (or at
+ * Assert two components share a partition cluster (or at
  * least one is untagged).  Compiles away unless NECTAR_CHECKED.
  */
 #define SIM_OWNER_INVARIANT(a, b, what)                               \

@@ -10,11 +10,8 @@ namespace nectar::sim {
 CopyStats &
 copyStats()
 {
-    // nectar-lint: global-ok copy-accounting counters; sharded per
-    // thread so parallel-engine workers account without contention
-    // (reports read the counters from the thread that did the work;
-    // sequential runs see the one main-thread instance as before)
-    thread_local CopyStats stats;
+    // nectar-lint: global-ok process-wide copy-accounting counters
+    static CopyStats stats;
     return stats;
 }
 

@@ -13,24 +13,6 @@ Topology::Topology(sim::EventQueue &eq, const hub::HubConfig &config)
 {
 }
 
-Topology::Topology(sim::ShardSet &shards, const hub::HubConfig &config)
-    : eq(shards.queueFor(0)), _shards(&shards), config(config),
-      _wiring(shards.queueFor(0))
-{
-}
-
-sim::EventQueue &
-Topology::queueOf(int hubIndex)
-{
-    if (_shards == nullptr)
-        return eq;
-    if (hubIndex < 0 || hubIndex >= _shards->clusters())
-        sim::fatal("Topology::queueOf: hub " +
-                   std::to_string(hubIndex) +
-                   " has no cluster in the shard set");
-    return _shards->queueFor(hubIndex);
-}
-
 int
 Topology::addHub(const std::string &name)
 {
@@ -40,8 +22,7 @@ Topology::addHub(const std::string &name)
     std::string hub_name =
         name.empty() ? "hub" + std::to_string(index) : name;
     hubs.push_back(std::make_unique<hub::Hub>(
-        queueOf(index), hub_name, static_cast<std::uint8_t>(index),
-        config));
+        eq, hub_name, static_cast<std::uint8_t>(index), config));
     adjacency.emplace_back();
     portUsed.emplace_back(config.numPorts, false);
     _table.reset(); // the graph grew: stale table, recompile lazily
@@ -93,21 +74,9 @@ Topology::linkHubs(int a, hub::PortId pa, int b, hub::PortId pb,
         sim::fatal("Topology::linkHubs: self-link");
     if (width < 1)
         sim::fatal("Topology::linkHubs: width < 1");
-    FiberPair fibers = _wiring.connectHubPortsOn(
-        queueOf(a), queueOf(b), *hubs[a], pa, *hubs[b], pb, propDelay,
+    FiberPair fibers = _wiring.connectHubPorts(
+        *hubs[a], pa, *hubs[b], pb, propDelay,
         sim::proto::fiberByteTime / width);
-    if (_shards != nullptr) {
-        // Trunks are the only cluster crossings: route each directed
-        // fiber through the shard set's mailbox for its pair and
-        // account its first-byte latency toward the conservative
-        // lookahead.
-        fibers.forward->routeCross(a, b, _shards->channelFor(a, b),
-                                   &_shards->trace());
-        _shards->noteCrossLink(a, b, fibers.forward->minLatency());
-        fibers.reverse->routeCross(b, a, _shards->channelFor(b, a),
-                                   &_shards->trace());
-        _shards->noteCrossLink(b, a, fibers.reverse->minLatency());
-    }
     portUsed[a][pa] = true;
     portUsed[b][pb] = true;
     int index = static_cast<int>(_hubLinks.size());
@@ -127,8 +96,8 @@ Topology::attachEndpoint(phys::FiberSink &rx, int hubIndex,
     if (!portFree(hubIndex, port))
         sim::fatal("Topology::attachEndpoint: port already wired");
     portUsed[hubIndex][port] = true;
-    FiberPair fibers = _wiring.connectEndpointPairOn(
-        queueOf(hubIndex), rx, *hubs[hubIndex], port, name, propDelay);
+    FiberPair fibers = _wiring.connectEndpointPair(
+        rx, *hubs[hubIndex], port, name, propDelay);
     endpointLinks[{hubIndex, port}] = fibers;
     return *fibers.forward;
 }
@@ -254,12 +223,6 @@ Topology::endpointFibers(int hub, hub::PortId port) const
 const RouteTable &
 Topology::routeTable() const
 {
-    // Workers on different clusters route concurrently; the compile
-    // itself must happen once.  Link-state changes (and hence
-    // recompiles) only occur while the simulation is single-threaded
-    // (fault injection runs in the gaps between parallel windows), so
-    // a returned reference never sees the table swapped under it.
-    std::lock_guard<std::mutex> lock(_tableMutex);
     if (!_table || _tableVersion != _linkVersion) {
         FabricGraph g(numHubs());
         for (const HubLink &l : _hubLinks)
@@ -374,30 +337,6 @@ buildTopology(sim::EventQueue &eq, const TopologyDescription &d,
     // exactly the imperative calls a hand-assembled system would, so
     // event traces are identical.
     auto t = std::make_unique<Topology>(eq, cfg);
-    for (const HubDecl &h : d.hubs)
-        t->addHub(h.name);
-    for (const TrunkDecl &tr : d.trunks)
-        t->linkHubs(tr.a, tr.pa, tr.b, tr.pb, tr.latency, tr.width);
-    return t;
-}
-
-std::unique_ptr<Topology>
-buildTopology(sim::ShardSet &shards, const TopologyDescription &d,
-              const hub::HubConfig &config)
-{
-    d.validate();
-    if (static_cast<int>(d.hubs.size()) > shards.clusters())
-        sim::fatal("buildTopology: shard set has " +
-                   std::to_string(shards.clusters()) +
-                   " clusters for " + std::to_string(d.hubs.size()) +
-                   " HUBs");
-    hub::HubConfig cfg = config;
-    if (d.hubPorts > 0)
-        cfg.numPorts = d.hubPorts;
-
-    // Same declared-order construction as the single-queue builder,
-    // so per-cluster event traces line up between the assemblies.
-    auto t = std::make_unique<Topology>(shards, cfg);
     for (const HubDecl &h : d.hubs)
         t->addHub(h.name);
     for (const TrunkDecl &tr : d.trunks)

@@ -19,7 +19,6 @@
 #include <map>
 #include <memory>
 #include <string>
-#include <mutex>
 #include <vector>
 
 #include "hub/hub.hh"
@@ -62,18 +61,6 @@ class Topology
      * @param config Configuration applied to every HUB.
      */
     explicit Topology(sim::EventQueue &eq,
-                      const hub::HubConfig &config = {});
-
-    /**
-     * Shard-aware construction: HUB @p h (and everything attached to
-     * it) lives on @p shards.queueFor(h); each trunk fiber lives on
-     * its transmitting HUB's queue and is routeCross()-marked so
-     * deliveries cross clusters through the shard set's mailboxes
-     * (or, for a single-queue shard set, in the cross-priority band).
-     * The shard set must outlive the topology and offer at least as
-     * many clusters as HUBs get added.
-     */
-    explicit Topology(sim::ShardSet &shards,
                       const hub::HubConfig &config = {});
 
     /**
@@ -214,14 +201,6 @@ class Topology
 
     Wiring &wiring() { return _wiring; }
 
-    /** The shard set this topology was built on, or nullptr for the
-     *  classic single-queue construction. */
-    sim::ShardSet *shards() { return _shards; }
-
-    /** The queue HUB @p hubIndex's cluster executes on (the default
-     *  queue when no shard set is attached). */
-    sim::EventQueue &queueOf(int hubIndex);
-
   private:
     /** Per-hub adjacency: (neighbor hub, my port toward it). */
     struct Adj
@@ -237,7 +216,6 @@ class Topology
     void setLinkState(int linkIndex, bool up);
 
     sim::EventQueue &eq;
-    sim::ShardSet *_shards = nullptr;
     hub::HubConfig config;
     Wiring _wiring;
     std::vector<std::unique_ptr<hub::Hub>> hubs;
@@ -249,10 +227,7 @@ class Topology
 
     // Lazily compiled route table (see routeTable()).  route() is
     // const, so the cache is mutable; _tableVersion records the
-    // linkVersion() the table was compiled against.  The mutex makes
-    // the first-use compile safe when parallel-engine workers route
-    // concurrently.
-    mutable std::mutex _tableMutex;
+    // linkVersion() the table was compiled against.
     mutable std::unique_ptr<RouteTable> _table;
     mutable std::uint64_t _tableVersion = 0;
     mutable std::uint64_t _compiles = 0;
@@ -266,15 +241,6 @@ class Topology
  */
 std::unique_ptr<Topology>
 buildTopology(sim::EventQueue &eq, const TopologyDescription &d,
-              const hub::HubConfig &config = {});
-
-/**
- * Shard-aware buildTopology(): same declared-order construction on
- * @p shards (one cluster per HUB).  Fatal when the shard set has
- * fewer clusters than the description has HUBs.
- */
-std::unique_ptr<Topology>
-buildTopology(sim::ShardSet &shards, const TopologyDescription &d,
               const hub::HubConfig &config = {});
 
 /**

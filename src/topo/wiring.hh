@@ -36,23 +36,6 @@ class Wiring
     explicit Wiring(sim::EventQueue &eq) : eq(eq) {}
 
     /**
-     * Create one unidirectional link on an explicit event queue,
-     * delivering into @p sink.  Shard-aware assemblies place each
-     * fiber on its *transmitter's* cluster queue (the send path runs
-     * on the sender's worker; deliveries cross via routeCross()).
-     */
-    phys::FiberLink &
-    makeLinkOn(sim::EventQueue &q, const std::string &name,
-               phys::FiberSink &sink, sim::Tick propDelay = 0,
-               sim::Tick byteTime = sim::proto::fiberByteTime)
-    {
-        links.push_back(std::make_unique<phys::FiberLink>(
-            q, name, propDelay, byteTime));
-        links.back()->connectTo(sink);
-        return *links.back();
-    }
-
-    /**
      * Create one unidirectional link delivering into @p sink.
      * The caller attaches the returned link to its transmitter.
      * @param byteTime Serialization time per byte; bonded (wide)
@@ -63,48 +46,35 @@ class Wiring
              sim::Tick propDelay = 0,
              sim::Tick byteTime = sim::proto::fiberByteTime)
     {
-        return makeLinkOn(eq, name, sink, propDelay, byteTime);
+        links.push_back(std::make_unique<phys::FiberLink>(
+            eq, name, propDelay, byteTime));
+        links.back()->connectTo(sink);
+        return *links.back();
     }
 
     /**
-     * Connect two HUB ports with a fiber pair, each directed fiber on
-     * its transmitting HUB's queue (@p qa owns a's transmitter, @p qb
-     * b's).  Single-queue assemblies pass the same queue twice.
+     * Connect two HUB ports with a fiber pair.
      *
      * @return The two directed fibers (forward = a toward b), so
      *         callers (Topology, the fault campaign engine) can
      *         manipulate link state.
      */
     FiberPair
-    connectHubPortsOn(sim::EventQueue &qa, sim::EventQueue &qb,
-                      hub::Hub &a, hub::PortId pa, hub::Hub &b,
-                      hub::PortId pb, sim::Tick propDelay = 0,
-                      sim::Tick byteTime = sim::proto::fiberByteTime)
-    {
-        auto &ab = makeLinkOn(qa,
-                              a.name() + ".p" + std::to_string(pa) +
-                                  "->" + b.name() + ".p" +
-                                  std::to_string(pb),
-                              b.port(pb), propDelay, byteTime);
-        auto &ba = makeLinkOn(qb,
-                              b.name() + ".p" + std::to_string(pb) +
-                                  "->" + a.name() + ".p" +
-                                  std::to_string(pa),
-                              a.port(pa), propDelay, byteTime);
-        a.port(pa).attachOutput(ab);
-        b.port(pb).attachOutput(ba);
-        return FiberPair{&ab, &ba};
-    }
-
-    /** connectHubPortsOn() with both transmitters on the default
-     *  queue. */
-    FiberPair
     connectHubPorts(hub::Hub &a, hub::PortId pa, hub::Hub &b,
                     hub::PortId pb, sim::Tick propDelay = 0,
                     sim::Tick byteTime = sim::proto::fiberByteTime)
     {
-        return connectHubPortsOn(eq, eq, a, pa, b, pb, propDelay,
-                                 byteTime);
+        auto &ab = makeLink(a.name() + ".p" + std::to_string(pa) +
+                                "->" + b.name() + ".p" +
+                                std::to_string(pb),
+                            b.port(pb), propDelay, byteTime);
+        auto &ba = makeLink(b.name() + ".p" + std::to_string(pb) +
+                                "->" + a.name() + ".p" +
+                                std::to_string(pa),
+                            a.port(pa), propDelay, byteTime);
+        a.port(pa).attachOutput(ab);
+        b.port(pb).attachOutput(ba);
+        return FiberPair{&ab, &ba};
     }
 
     /**
@@ -133,27 +103,12 @@ class Wiring
                         hub::PortId port, const std::string &name,
                         sim::Tick propDelay = 0)
     {
-        return connectEndpointPairOn(eq, endpointRx, hub, port, name,
-                                     propDelay);
-    }
-
-    /** connectEndpointPair() with both fibers on @p q — endpoint and
-     *  HUB share a cluster, so both directions stay cluster-local. */
-    FiberPair
-    connectEndpointPairOn(sim::EventQueue &q,
-                          phys::FiberSink &endpointRx, hub::Hub &hub,
-                          hub::PortId port, const std::string &name,
-                          sim::Tick propDelay = 0)
-    {
-        auto &toHub = makeLinkOn(q,
-                                 name + "->" + hub.name() + ".p" +
-                                     std::to_string(port),
-                                 hub.port(port), propDelay);
-        auto &fromHub = makeLinkOn(q,
-                                   hub.name() + ".p" +
-                                       std::to_string(port) + "->" +
-                                       name,
-                                   endpointRx, propDelay);
+        auto &toHub = makeLink(name + "->" + hub.name() + ".p" +
+                                   std::to_string(port),
+                               hub.port(port), propDelay);
+        auto &fromHub = makeLink(hub.name() + ".p" +
+                                     std::to_string(port) + "->" + name,
+                                 endpointRx, propDelay);
         hub.port(port).attachOutput(fromHub);
         return FiberPair{&toHub, &fromHub};
     }

@@ -13,7 +13,6 @@
 #include <algorithm>
 #include <cstdint>
 #include <map>
-#include <mutex>
 #include <utility>
 #include <vector>
 
@@ -71,13 +70,6 @@ class NetworkDirectory
     const topo::Route &
     route(CabAddress from, CabAddress to)
     {
-        // Transports on different clusters resolve routes
-        // concurrently under the parallel engine; the cache insert
-        // must be serialized.  std::map node references stay valid
-        // across inserts, so the returned route outlives the lock;
-        // the invalidating clear() only happens while the simulation
-        // is single-threaded (link faults run between windows).
-        std::lock_guard<std::mutex> lock(_cacheMutex);
         if (version != topo.linkVersion()) {
             staleRoutes = std::move(routes);
             routes.clear();
@@ -106,7 +98,6 @@ class NetworkDirectory
     const topo::Route &
     multicastRoute(CabAddress from, std::vector<CabAddress> members)
     {
-        std::lock_guard<std::mutex> lock(_cacheMutex); // see route()
         if (mcastVersion != topo.linkVersion()) {
             mcastRoutes.clear();
             mcastVersion = topo.linkVersion();
@@ -150,8 +141,6 @@ class NetworkDirectory
     std::uint64_t version = 0;
     std::uint64_t mcastVersion = 0;
     sim::Counter _reroutes;
-    /** Serializes the route-cache lookups/inserts (see route()). */
-    std::mutex _cacheMutex;
 };
 
 } // namespace nectar::transport

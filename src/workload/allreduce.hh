@@ -78,10 +78,8 @@ class AllreduceWorkload
 
   private:
     /**
-     * One member task's outcome.  Each task writes only its own slot
-     * (members run on different clusters under the parallel engine);
-     * report() folds the slots after the run, when the simulation is
-     * single-threaded again.
+     * One member task's outcome.  Each task writes only its own slot;
+     * report() folds the slots after the run.
      */
     struct MemberResult
     {

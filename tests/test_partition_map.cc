@@ -1,7 +1,7 @@
 /**
  * @file
  * The partition map over the real tree: the machine-readable
- * artifact the parallel core will consume.
+ * component-isolation contract.
  *
  * Three properties are load-bearing and tested here rather than in
  * the lint corpus: the whole-tree access graph is clean (no
@@ -102,7 +102,7 @@ TEST(PartitionMap, TreeGraphShapeIsSane)
     EXPECT_EQ(g.components.at("Transport").role, "site");
 
     // Every edge is classified, and every wire-crossing mutation is
-    // mediated: the property the parallel core banks on.
+    // mediated: the component-isolation property itself.
     ASSERT_GT(g.edges.size(), 50u);
     for (const auto &e : g.edges) {
         EXPECT_NE(e.kind, "direct-mutation")

@@ -12,7 +12,7 @@
  *   chaos_fuzz [--seeds N] [--seed0 S] [--out DIR]
  *              [--intensity X] [--inject-bug] [--replay FILE]
  *              [--fabric mesh|torus|fattree|FILE.topo]
- *              [--serving N] [--threads N]
+ *              [--serving N]
  *
  * --fabric picks the harness system: the named generator at the
  * standard 2x2x2 size, or any .topo fabric file (a path ending in
@@ -22,11 +22,6 @@
  * --serving N adds the serving-load scenario: N open-loop RPC
  * arrivals per site (src/serving) in flight while the oracle judges
  * the ledgered traffic and the drain.
- *
- * --threads N (> 1) runs every campaign on the parallel simulation
- * core (one cluster per HUB, stepped fault injection), fuzzing the
- * engine's mailboxes, barriers, and shared-service locking along
- * with the protocols.  Incompatible with --inject-bug.
  *
  * Exit status: 0 when every seed passed, 1 on any oracle failure,
  * 2 on usage errors.
@@ -58,7 +53,6 @@ struct Options
     std::string replayFile;
     std::string fabric = "mesh";
     int serving = 0;
-    int threads = 1;
 };
 
 [[noreturn]] void
@@ -68,7 +62,7 @@ usage(const char *argv0)
                  "usage: %s [--seeds N] [--seed0 S] [--out DIR] "
                  "[--intensity X] [--inject-bug] [--replay FILE] "
                  "[--fabric mesh|torus|fattree|FILE.topo] "
-                 "[--serving N] [--threads N]\n",
+                 "[--serving N]\n",
                  argv0);
     std::exit(2);
 }
@@ -100,8 +94,6 @@ parseArgs(int argc, char **argv)
             opt.fabric = value();
         else if (a == "--serving")
             opt.serving = std::atoi(value());
-        else if (a == "--threads")
-            opt.threads = std::atoi(value());
         else
             usage(argv[0]);
     }
@@ -127,12 +119,6 @@ main(int argc, char **argv)
     fault::FuzzConfig fcfg;
     fcfg.injectDeliveryBug = opt.injectBug;
     fcfg.servingArrivalsPerSite = opt.serving;
-    fcfg.threads = opt.threads;
-    if (opt.threads > 1 && opt.injectBug) {
-        std::fprintf(stderr, "chaos_fuzz: --inject-bug requires the "
-                             "single-queue harness (drop --threads)\n");
-        return 2;
-    }
     if (opt.fabric == "mesh")
         fcfg.fabric = fault::FuzzFabric::mesh;
     else if (opt.fabric == "torus")

@@ -1,20 +1,20 @@
 /**
  * @file
- * The component access-graph pass: whole-tree partition-safety
- * analysis for the parallel simulation core.
+ * The component access-graph pass: whole-tree component-isolation
+ * analysis.
  *
- * The planned threaded engine partitions the component graph into
- * per-thread HUB/CAB-cluster partitions (ROADMAP).  That is only
- * sound if no component mutates another partition's state through a
- * direct synchronous call that bypasses the event queue.  This pass
- * makes the property mechanical:
+ * The simulator's components are meant to interact only through the
+ * fiber chokepoints, as the hardware they model does: a HUB/CAB
+ * cluster never mutates another cluster's state through a direct
+ * synchronous call that bypasses the event queue.  This pass makes
+ * the property mechanical:
  *
  *  - Pass 1 indexes every class in the tree (fields, methods,
  *    accessors, inheritance) and computes the sim::Component closure;
  *    each component is assigned a co-location role from the layer its
  *    file lives in (site = cab/cabos/datalink/transport/node/inet/
  *    baseline/nectarine, hub = hub, wire = phys, engine = sim).  A
- *    thread partition is a HUB plus its CABs, so components sharing a
+ *    partition is a HUB plus its CABs, so components sharing a
  *    role are co-located by construction (a CAB's datalink never
  *    touches another CAB's board), while cross-role edges are exactly
  *    the ones that may cross a partition boundary.
@@ -51,8 +51,8 @@
  *        (annotation tag: foreign-ref-ok).
  *
  * graphJson() serializes the result deterministically (sorted maps,
- * no pointers or timestamps) as partition_map.json, the artifact the
- * parallel core will consume to derive thread partitions.  With a
+ * no pointers or timestamps) as partition_map.json, the
+ * component-isolation contract in machine-readable form.  With a
  * TopoSummary attached, the JSON additionally lists the runtime
  * clusters (each HUB plus its CABs) and the cross-cluster
  * direct-mutation edges — the list the `ctest -L analysis` gate

@@ -331,8 +331,8 @@ scanScheduleSites(const Prepared &p, const std::string &file,
 // D7 — mutable global / static state.
 //
 // A variable that outlives every component instance is invisible to
-// any partitioning of the component graph: two thread partitions
-// would share it without either one owning it.  The scanner tracks
+// any partitioning of the component graph: two clusters would share
+// it without either one owning it.  The scanner tracks
 // brace scopes lexically (namespace, class, function/block,
 // initializer) and flags mutable variables introduced by `static`,
 // namespace-scope `inline`, or `extern` without a const qualifier.
@@ -492,7 +492,8 @@ scanGlobalState(const Prepared &p, const std::string &file,
             {"D7", file, lineOf(code, pos),
              std::string("mutable ") + where +
                  " state: invisible to any component partitioning, "
-                 "so thread partitions would share it unsynchronized; "
+                 "so clusters would share it outside the fiber "
+                 "chokepoints; "
                  "make it const/thread_local, move it into a "
                  "component, or annotate "
                  "'nectar-lint: global-ok <why>'"});

@@ -27,8 +27,8 @@
  *        explicit.
  *  - D7  no mutable global/namespace-scope static state in
  *        simulation code: state that no component owns is invisible
- *        to any partitioning of the component graph, so per-thread
- *        cluster partitions would share it unsynchronized.
+ *        to any partitioning of the component graph, so every
+ *        cluster would share it outside the fiber chokepoints.
  *
  * Two further rules, D6 (direct cross-component state mutation off
  * the mediated-call allowlist) and D8 (foreign references to another
