@@ -1,23 +1,17 @@
 #include "memory.hh"
 
+#include <algorithm>
 #include <cstring>
 
 #include "sim/logging.hh"
 
 namespace nectar::cab {
 
-CabMemory::CabMemory()
-    : prom(addrmap::promSize, 0),
-      programRam(addrmap::programRamSize, 0),
-      dataRam(addrmap::dataRamSize, 0), prot(addrmap::spaceSize)
-{
-}
+CabMemory::CabMemory() : prot(addrmap::spaceSize) {}
 
 bool
 CabMemory::mapped(std::uint32_t addr, std::uint32_t len) const
 {
-    if (len == 0)
-        return addr < addrmap::spaceSize;
     if (addr + len < addr)
         return false;
     auto inside = [&](std::uint32_t base, std::uint32_t size) {
@@ -28,19 +22,43 @@ CabMemory::mapped(std::uint32_t addr, std::uint32_t len) const
            inside(addrmap::dataRamBase, addrmap::dataRamSize);
 }
 
-std::uint8_t *
-CabMemory::backing(std::uint32_t addr, std::uint32_t len)
+void
+CabMemory::copyOut(std::uint32_t addr, std::uint8_t *out,
+                   std::uint32_t len) const
 {
-    auto inside = [&](std::uint32_t base, std::uint32_t size) {
-        return addr >= base && addr + len <= base + size;
-    };
-    if (inside(addrmap::promBase, addrmap::promSize))
-        return prom.data() + (addr - addrmap::promBase);
-    if (inside(addrmap::programRamBase, addrmap::programRamSize))
-        return programRam.data() + (addr - addrmap::programRamBase);
-    if (inside(addrmap::dataRamBase, addrmap::dataRamSize))
-        return dataRam.data() + (addr - addrmap::dataRamBase);
-    return nullptr;
+    while (len > 0) {
+        const std::uint32_t off = addr % pageBytes;
+        const std::uint32_t n = std::min(len, pageBytes - off);
+        auto it = pages.find(addr / pageBytes);
+        if (it == pages.end()) {
+            std::memset(out, 0, n);
+        } else {
+            // nectar-lint: copy-ok memory-array hardware model; bytes
+            // charged per accessor via byteCounts, not packet payload
+            std::memcpy(out, it->second.data() + off, n);
+        }
+        addr += n;
+        out += n;
+        len -= n;
+    }
+}
+
+void
+CabMemory::copyIn(std::uint32_t addr, const std::uint8_t *src,
+                  std::uint32_t len)
+{
+    while (len > 0) {
+        const std::uint32_t off = addr % pageBytes;
+        const std::uint32_t n = std::min(len, pageBytes - off);
+        // operator[] value-initialises a new page: all zeroes.
+        Page &page = pages[addr / pageBytes];
+        // nectar-lint: copy-ok memory-array hardware model; bytes
+        // charged per accessor via byteCounts, not packet payload
+        std::memcpy(page.data() + off, src, n);
+        addr += n;
+        src += n;
+        len -= n;
+    }
 }
 
 bool
@@ -53,9 +71,7 @@ CabMemory::read(Domain domain, std::uint32_t addr, std::uint8_t *out,
     }
     if (!prot.check(domain, addr, len, permRead))
         return false;
-    // nectar-lint: copy-ok memory-array hardware model; bytes
-    // charged per accessor via byteCounts, not packet payload
-    std::memcpy(out, backing(addr, len), len);
+    copyOut(addr, out, len);
     byteCounts[static_cast<int>(by)].add(len);
     return true;
 }
@@ -77,9 +93,7 @@ CabMemory::write(Domain domain, std::uint32_t addr,
     }
     if (!prot.check(domain, addr, len, permWrite))
         return false;
-    // nectar-lint: copy-ok memory-array hardware model; bytes
-    // charged per accessor via byteCounts, not packet payload
-    std::memcpy(backing(addr, len), src, len);
+    copyIn(addr, src, len);
     byteCounts[static_cast<int>(by)].add(len);
     return true;
 }
@@ -90,9 +104,8 @@ CabMemory::loadProm(std::uint32_t offset,
 {
     if (offset + image.size() > addrmap::promSize)
         sim::fatal("CabMemory::loadProm: image does not fit");
-    // nectar-lint: copy-ok factory PROM programming at build
-    // time, not packet payload
-    std::memcpy(prom.data() + offset, image.data(), image.size());
+    copyIn(addrmap::promBase + offset, image.data(),
+           static_cast<std::uint32_t>(image.size()));
 }
 
 std::uint64_t

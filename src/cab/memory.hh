@@ -15,11 +15,18 @@
  *
  * Every access is checked against the protection tables; transfers
  * are accounted so benches can verify the 66 MB/s sufficiency claim.
+ *
+ * The bytes are held sparsely, in 1 KB pages (the protection page
+ * size) that come into being on their first write: the DMA engines
+ * only account() their transfers, so almost no page of a simulated
+ * CAB is ever touched, and a byte never written reads as 0.
  */
 
 #pragma once
 
+#include <array>
 #include <cstdint>
+#include <unordered_map>
 #include <vector>
 
 #include "cab/protection.hh"
@@ -110,16 +117,19 @@ class CabMemory
     std::uint64_t busErrors() const { return _busErrors.value(); }
 
   private:
-    /** Map an address range to backing storage, or nullptr. */
-    std::uint8_t *backing(std::uint32_t addr, std::uint32_t len);
+    static constexpr std::uint32_t pageBytes = sim::proto::cabPageBytes;
+    using Page = std::array<std::uint8_t, pageBytes>;
 
-    // nectar-lint: copy-ok the CAB's memory arrays themselves;
-    // packets stay as PacketViews until DMA touches these
-    std::vector<std::uint8_t> prom;
-    // nectar-lint: copy-ok memory array backing store
-    std::vector<std::uint8_t> programRam;
-    // nectar-lint: copy-ok memory array backing store
-    std::vector<std::uint8_t> dataRam;
+    /** Copy [addr, addr+len) out of the pages; unwritten bytes are 0. */
+    void copyOut(std::uint32_t addr, std::uint8_t *out,
+                 std::uint32_t len) const;
+
+    /** Copy into [addr, addr+len), creating zeroed pages as needed. */
+    void copyIn(std::uint32_t addr, const std::uint8_t *src,
+                std::uint32_t len);
+
+    /** Written pages, keyed by CAB address / pageBytes. */
+    std::unordered_map<std::uint32_t, Page> pages;
     MemoryProtection prot;
     sim::Counter byteCounts[4];
     sim::Counter _busErrors;

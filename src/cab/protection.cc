@@ -14,12 +14,10 @@ MemoryProtection::MemoryProtection(std::uint32_t addressSpaceBytes,
         sim::fatal("MemoryProtection: zero-sized space or page");
     if (domains < 1 || domains > 256)
         sim::fatal("MemoryProtection: bad domain count");
-    // nectar-lint: copy-ok per-domain permission tables, not
-    // packet payload
-    tables.assign(domains, std::vector<std::uint8_t>(pages, permNone));
+    tables.resize(domains);
     // The kernel domain starts with full access, as the CAB kernel
     // owns the assignment of protection domains (Section 5.2).
-    tables[kernelDomain].assign(pages, permAll);
+    tables[kernelDomain].fill = permAll;
 }
 
 void
@@ -30,12 +28,14 @@ MemoryProtection::setPerms(Domain domain, std::uint32_t addr,
         sim::panic("MemoryProtection::setPerms: bad domain");
     if (len == 0)
         return;
-    std::uint32_t first = addr / pageBytes;
-    std::uint32_t last = (addr + len - 1) / pageBytes;
+    const std::uint64_t last = lastPage(addr, len);
     if (last >= pages)
         sim::panic("MemoryProtection::setPerms: range out of space");
-    for (std::uint32_t p = first; p <= last; ++p)
-        tables[domain][p] = perms;
+    DomainPerms &d = tables[domain];
+    if (d.table.empty())
+        d.table.assign(pages, d.fill);
+    for (std::uint32_t p = addr / pageBytes; p <= last; ++p)
+        d.table[p] = perms;
 }
 
 std::uint8_t
@@ -46,7 +46,7 @@ MemoryProtection::pagePerms(Domain domain, std::uint32_t addr) const
     std::uint32_t p = addr / pageBytes;
     if (p >= pages)
         sim::panic("MemoryProtection::pagePerms: address out of space");
-    return tables[domain][p];
+    return permsOf(domain, p);
 }
 
 bool
@@ -59,14 +59,13 @@ MemoryProtection::check(Domain domain, std::uint32_t addr,
     }
     if (len == 0)
         return true;
-    std::uint32_t first = addr / pageBytes;
-    std::uint32_t last = (addr + len - 1) / pageBytes;
-    if (last >= pages || addr + len < addr) {
+    const std::uint64_t last = lastPage(addr, len);
+    if (last >= pages) {
         _violations.add();
         return false;
     }
-    for (std::uint32_t p = first; p <= last; ++p) {
-        if ((tables[domain][p] & need) != need) {
+    for (std::uint32_t p = addr / pageBytes; p <= last; ++p) {
+        if ((permsOf(domain, p) & need) != need) {
             _violations.add();
             return false;
         }
@@ -79,7 +78,7 @@ MemoryProtection::clearDomain(Domain domain)
 {
     if (!validDomain(domain))
         sim::panic("MemoryProtection::clearDomain: bad domain");
-    tables[domain].assign(pages, permNone);
+    tables[domain] = DomainPerms{};
 }
 
 } // namespace nectar::cab

@@ -93,13 +93,41 @@ class MemoryProtection
     void clearDomain(Domain domain);
 
   private:
+    /**
+     * One domain's permissions.  A domain that was never granted
+     * anything has no table: every page reads @c fill (permAll for
+     * the kernel, permNone otherwise).  setPerms() builds the table
+     * and clearDomain() drops it again.
+     */
+    struct DomainPerms
+    {
+        std::uint8_t fill = permNone;
+        // nectar-lint: copy-ok per-page permission table, not
+        // packet payload; empty until the domain's first grant
+        std::vector<std::uint8_t> table;
+    };
+
     bool validDomain(Domain d) const { return d >= 0 && d < domains; }
+
+    /** Last page of [addr, addr+len), len > 0, without wrapping. */
+    std::uint64_t
+    lastPage(std::uint32_t addr, std::uint32_t len) const
+    {
+        return (std::uint64_t{addr} + len - 1) / pageBytes;
+    }
+
+    /** Permissions of page @p p in a valid @p domain. */
+    std::uint8_t
+    permsOf(Domain domain, std::uint32_t p) const
+    {
+        const DomainPerms &d = tables[domain];
+        return d.table.empty() ? d.fill : d.table[p];
+    }
 
     std::uint32_t pageBytes;
     std::uint32_t pages;
     int domains;
-    /** tables[domain][page] = permission bits. */
-    std::vector<std::vector<std::uint8_t>> tables;
+    std::vector<DomainPerms> tables;
     sim::Counter _violations;
 };
 

@@ -6,12 +6,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <numeric>
 
 #include "cab/cab.hh"
 #include "cab/checksum.hh"
 #include "helpers/test_endpoint.hh"
 #include "phys/fiber.hh"
+#include "sim/logging.hh"
 
 // nectar-lint-file: capture-ok test frames drive eq.run() to
 // completion before any captured locals leave scope
@@ -68,6 +70,10 @@ TEST(Protection, KernelDomainStartsWithFullAccess)
 {
     MemoryProtection p(64 * 1024);
     EXPECT_TRUE(p.check(kernelDomain, 0, 64 * 1024, permAll));
+    // A grant replaces only the pages it covers.
+    p.setPerms(kernelDomain, 0, 1024, permRead);
+    EXPECT_FALSE(p.check(kernelDomain, 0, 4, permWrite));
+    EXPECT_TRUE(p.check(kernelDomain, 1024, 63 * 1024, permAll));
 }
 
 TEST(Protection, UserDomainStartsWithNoAccess)
@@ -122,12 +128,27 @@ TEST(Protection, ClearDomainRevokesEverything)
     p.setPerms(7, 0, 32 * 1024, permAll);
     p.clearDomain(7);
     EXPECT_FALSE(p.check(7, 0, 4, permRead));
+    // Even the kernel's initial full access.
+    p.clearDomain(kernelDomain);
+    EXPECT_FALSE(p.check(kernelDomain, 0, 4, permRead));
+    EXPECT_EQ(p.pagePerms(kernelDomain, 60 * 1024), permNone);
 }
 
 TEST(Protection, OutOfSpaceAccessFails)
 {
     MemoryProtection p(64 * 1024);
     EXPECT_FALSE(p.check(kernelDomain, 63 * 1024, 2048, permRead));
+    EXPECT_FALSE(p.check(kernelDomain, 0xFFFFFC00, 0x800, permRead));
+}
+
+TEST(Protection, OutOfSpaceGrantPanics)
+{
+    MemoryProtection p(64 * 1024);
+    EXPECT_THROW(p.setPerms(3, 63 * 1024, 2048, permRW), sim::PanicError);
+    // A range whose last byte wraps past 2^32 ends below its start.
+    EXPECT_THROW(p.setPerms(3, 0xFFFFFC00, 0x800, permRW),
+                 sim::PanicError);
+    EXPECT_FALSE(p.check(3, 0, 4, permRead));
 }
 
 TEST(Protection, ThirtyTwoDomainsSupported)
@@ -150,6 +171,39 @@ TEST(CabMemory, DataRamRoundTrip)
     EXPECT_TRUE(mem.read(kernelDomain, addrmap::dataRamBase, out.data(),
                          4));
     EXPECT_EQ(out, in);
+
+    // Across a 1 KB page boundary.
+    std::vector<std::uint8_t> span(64);
+    std::iota(span.begin(), span.end(), std::uint8_t(1));
+    const std::uint32_t at = addrmap::dataRamBase + 1024 - 32;
+    EXPECT_TRUE(mem.write(kernelDomain, at, span.data(), 64));
+    std::vector<std::uint8_t> back(64);
+    EXPECT_TRUE(mem.read(kernelDomain, at, back.data(), 64));
+    EXPECT_EQ(back, span);
+}
+
+TEST(CabMemory, UnwrittenBytesReadZero)
+{
+    CabMemory mem;
+    std::vector<std::uint8_t> out(16);
+    for (std::uint32_t addr :
+         {addrmap::promBase + 100, addrmap::programRamBase + 5000,
+          addrmap::dataRamBase + addrmap::dataRamSize - 16}) {
+        std::fill(out.begin(), out.end(), 0xAA);
+        EXPECT_TRUE(mem.read(kernelDomain, addr, out.data(), 16));
+        EXPECT_EQ(out, std::vector<std::uint8_t>(16, 0));
+    }
+
+    // A read over a partly written page between two never-written
+    // ones: only the written bytes are nonzero.
+    const std::uint32_t page = addrmap::dataRamBase + 4096;
+    std::vector<std::uint8_t> in(4, 0x5C);
+    EXPECT_TRUE(mem.write(kernelDomain, page + 512, in.data(), 4));
+    std::vector<std::uint8_t> wide(3072, 0xAA);
+    EXPECT_TRUE(mem.read(kernelDomain, page - 1024, wide.data(), 3072));
+    std::vector<std::uint8_t> want(3072, 0);
+    std::fill(want.begin() + 1536, want.begin() + 1540, 0x5C);
+    EXPECT_EQ(wide, want);
 }
 
 TEST(CabMemory, PromRejectsWrites)
@@ -168,6 +222,14 @@ TEST(CabMemory, LoadPromThenRead)
     EXPECT_TRUE(mem.read(kernelDomain, 16, out, 2));
     EXPECT_EQ(out[0], 0xDE);
     EXPECT_EQ(out[1], 0xAD);
+
+    // An image spanning two pages.
+    std::vector<std::uint8_t> image(8);
+    std::iota(image.begin(), image.end(), std::uint8_t(0x10));
+    mem.loadProm(1020, image);
+    std::vector<std::uint8_t> back(8);
+    EXPECT_TRUE(mem.read(kernelDomain, 1020, back.data(), 8));
+    EXPECT_EQ(back, image);
 }
 
 TEST(CabMemory, UnmappedHoleIsBusError)
@@ -177,6 +239,11 @@ TEST(CabMemory, UnmappedHoleIsBusError)
     // Between program RAM (ends 0xA0000) and data RAM (0x100000).
     EXPECT_FALSE(mem.read(kernelDomain, 0xC0000, &b, 1));
     EXPECT_GT(mem.busErrors(), 0u);
+    // A zero-length access passes the same region test.
+    EXPECT_FALSE(mem.read(kernelDomain, 0xC0000, &b, 0));
+    EXPECT_FALSE(mem.write(kernelDomain, 0xC0000, &b, 0));
+    EXPECT_EQ(mem.busErrors(), 3u);
+    EXPECT_TRUE(mem.read(kernelDomain, addrmap::dataRamBase, &b, 0));
 }
 
 TEST(CabMemory, UserDomainNeedsGrant)
