@@ -72,8 +72,7 @@ describe(const FaultEvent &e)
 ChaosController::ChaosController(nectarine::NectarSystem &system,
                                  const FaultPlan &faultPlan,
                                  PlanPolicy policy)
-    : sys(system), plan(faultPlan),
-      tracer(system.eventq(), "chaos." + plan.name)
+    : sys(system), plan(faultPlan)
 {
     for (const auto &e : plan.events)
         validate(e);
@@ -344,7 +343,6 @@ ChaosController::execute(const FaultEvent &e, std::size_t index)
     }
     ++executed;
     log.push_back({e.at, describe(e)});
-    tracer("fault", describe(e));
 }
 
 CampaignReport

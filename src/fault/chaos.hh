@@ -16,7 +16,6 @@
 #include "fault/plan.hh"
 #include "fault/report.hh"
 #include "nectarine/system.hh"
-#include "sim/trace.hh"
 
 namespace nectar::fault {
 
@@ -45,9 +44,6 @@ class ChaosController
                     const FaultPlan &plan,
                     PlanPolicy policy = PlanPolicy::strict);
 
-    /** Attach a trace sink for per-event records. */
-    void attachTracer(sim::TraceSink &sink) { tracer.attach(sink); }
-
     /** Fault events executed so far. */
     std::size_t eventsExecuted() const { return executed; }
 
@@ -74,7 +70,6 @@ class ChaosController
 
     nectarine::NectarSystem &sys;
     FaultPlan plan;
-    sim::Tracer tracer;
     std::size_t executed = 0;
     std::size_t dropped = 0;
     std::vector<CampaignReport::Entry> log;

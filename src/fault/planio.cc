@@ -1,5 +1,6 @@
 #include "fault/planio.hh"
 
+#include <charconv>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
@@ -53,6 +54,16 @@ parseAction(const std::string &s, Action &out)
         }
     }
     return false;
+}
+
+/** Parse all of @p s as an in-range integer; false on anything else. */
+template <typename Int>
+bool
+parseWhole(const std::string &s, Int &out)
+{
+    const char *end = s.data() + s.size();
+    auto [p, ec] = std::from_chars(s.data(), end, out);
+    return ec == std::errc() && p == end;
 }
 
 /** %.17g: enough digits to round-trip any IEEE-754 double. */
@@ -142,10 +153,8 @@ parsePlan(const std::string &text)
                     badLine(lineno, line, "field without '='");
                 std::string key = field.substr(0, eq);
                 std::string val = field.substr(eq + 1);
-                char *endp = nullptr;
                 if (key == "at") {
-                    e.at = std::strtoll(val.c_str(), &endp, 10);
-                    if (endp == val.c_str() || *endp)
+                    if (!parseWhole(val, e.at))
                         badLine(lineno, line, "bad at");
                     sawAt = true;
                 } else if (key == "action") {
@@ -153,18 +162,21 @@ parsePlan(const std::string &text)
                         badLine(lineno, line, "unknown action");
                     sawAction = true;
                 } else if (key == "hub") {
-                    e.hub = std::atoi(val.c_str());
+                    if (!parseWhole(val, e.hub))
+                        badLine(lineno, line, "bad hub");
                 } else if (key == "port") {
-                    e.port =
-                        static_cast<hub::PortId>(std::atoi(val.c_str()));
+                    if (!parseWhole(val, e.port))
+                        badLine(lineno, line, "bad port");
                 } else if (key == "site") {
-                    e.site = std::atoi(val.c_str());
+                    if (!parseWhole(val, e.site))
+                        badLine(lineno, line, "bad site");
                 } else if (key == "dir") {
                     if (!parseDir(val, e.dir))
                         badLine(lineno, line, "unknown dir");
                 } else if (key == "burst") {
                     double p[4];
                     const char *s = val.c_str();
+                    char *endp = nullptr;
                     for (int i = 0; i < 4; ++i) {
                         p[i] = std::strtod(s, &endp);
                         if (endp == s)

@@ -634,12 +634,14 @@ EventQueue::runUntil(Tick until, std::uint64_t limit)
 
     constexpr std::size_t batchThreshold = 4; // see run()
     std::uint64_t n = 0;
-    while (n < limit) {
-        const Tick t = nextTick();
-        if (t == noTick || t > until) {
+    Tick t = noTick;
+    while (true) {
+        t = nextTick();
+        if (t == noTick || t > until || n == limit) {
             if (_ready != nullptr) {
-                // The peek overshot: put the direct-fire candidate
-                // back (it already counts as due; see nextTick()).
+                // The peeked tick is not fired: put the direct-fire
+                // candidate back (it already counts as due; see
+                // nextTick()).
                 heapPush(_due, entryFor(_ready));
                 _ready = nullptr;
             }
@@ -654,7 +656,11 @@ EventQueue::runUntil(Tick until, std::uint64_t limit)
     }
     if (n == limit)
         warn("EventQueue::runUntil: event limit reached");
-    _now = until;
+    // Stopped by the limit with events at or before @p until still
+    // pending, now() stays at the last one fired: the next run() must
+    // not move time backwards.
+    if (t == noTick || t > until)
+        _now = until;
     return n;
 }
 

@@ -194,7 +194,9 @@ class EventQueue
 
     /**
      * Run events with tick <= @p until (inclusive), then set now() to
-     * @p until even if the queue drained earlier.
+     * @p until even if the queue drained earlier.  If @p limit stops
+     * the run while such events remain, now() stays at the last event
+     * fired.
      *
      * @return Number of events executed.
      */

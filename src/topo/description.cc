@@ -147,8 +147,8 @@ gridIndex(int row, int col, int cols)
 
 /**
  * The shared mesh/torus skeleton: hubs named hub_r<r>c<c>, east/south
- * trunks in row-major order (the makeMesh2D order, which fingerprint
- * tests pin), then the torus wraps, then the CABs.
+ * trunks in row-major order (the order fingerprint tests pin), then
+ * the torus wraps, then the CABs.
  */
 TopologyDescription
 describeGrid(const std::string &name, int rows, int cols,

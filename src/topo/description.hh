@@ -117,8 +117,8 @@ TopologyDescription describeSingleHub(int cabs, int hubPorts = 0);
 /**
  * A rows x cols 2-D mesh (Figure 4).  Inter-HUB trunks use the four
  * highest ports (east, west, south, north); CABs fill ports
- * [0, cabsPerHub) on every HUB.  Matches the historical makeMesh2D
- * port convention and construction order exactly.
+ * [0, cabsPerHub) on every HUB.  The trunk order (row-major, east
+ * before south) is the one the golden fingerprint tests pin.
  */
 TopologyDescription describeMesh2D(int rows, int cols, int cabsPerHub,
                                    sim::Tick interHubDelay = 0,

@@ -128,93 +128,16 @@ RouteTable::orient()
 RouteTable::Source
 RouteTable::compileSource(int s) const
 {
+    // BFS over (hub, phase) states.  From an up state every live edge
+    // is traversable (up moves keep phase up); from a down state only
+    // down moves are.  First state discovered per hub is that hub's
+    // winner; routes replay the state preds.
     const int n = _graph.numHubs();
     Source src;
     src.dist.assign(static_cast<std::size_t>(n), -1);
     src.winner.assign(static_cast<std::size_t>(n), phaseNone);
-
-    // Pass 1: the historical plain BFS (FIFO queue, insertion-order
-    // adjacency, first discovery wins).  This is the exact algorithm
-    // route() used for every release so far; keeping it byte-for-byte
-    // is what pins the mesh2D routes and golden fingerprints.
-    src.prev.assign(static_cast<std::size_t>(n),
-                    {-1, hub::noPort});
-    {
-        std::vector<bool> seen(static_cast<std::size_t>(n), false);
-        std::deque<int> frontier{s};
-        seen[static_cast<std::size_t>(s)] = true;
-        src.dist[static_cast<std::size_t>(s)] = 0;
-        while (!frontier.empty()) {
-            int h = frontier.front();
-            frontier.pop_front();
-            for (const FabricGraph::Adj &a : _graph.adjacencyOf(h)) {
-                if (!_graph.linkUp(a.linkIndex))
-                    continue;
-                auto un = static_cast<std::size_t>(a.neighbor);
-                if (!seen[un]) {
-                    seen[un] = true;
-                    src.prev[un] = {h, a.myPort};
-                    src.dist[un] =
-                        src.dist[static_cast<std::size_t>(h)] + 1;
-                    frontier.push_back(a.neighbor);
-                }
-            }
-        }
-    }
-
-    // Legality scan: phase of each hub along its tree path.  A tree
-    // edge taken in phase down that moves root-ward (up) would be a
-    // down->up turn — then this source needs the restricted search.
-    {
-        bool legal = true;
-        std::vector<std::uint8_t> phase(static_cast<std::size_t>(n),
-                                        phaseNone);
-        phase[static_cast<std::size_t>(s)] = phaseUp;
-        // prev[] parents always precede children in dist order; a
-        // simple dist-ordered sweep assigns phases parent-first.
-        std::vector<int> order;
-        order.reserve(static_cast<std::size_t>(n));
-        for (int h = 0; h < n; ++h)
-            if (h != s && src.dist[static_cast<std::size_t>(h)] >= 0)
-                order.push_back(h);
-        std::sort(order.begin(), order.end(), [&](int x, int y) {
-            return src.dist[static_cast<std::size_t>(x)] <
-                   src.dist[static_cast<std::size_t>(y)];
-        });
-        for (int h : order) {
-            auto [p, port] = src.prev[static_cast<std::size_t>(h)];
-            int link = _graph.linkAtPort(p, port);
-            bool movesUp = upMove(link, h);
-            std::uint8_t pp = phase[static_cast<std::size_t>(p)];
-            if (pp == phaseDown && movesUp) {
-                legal = false;
-                break;
-            }
-            phase[static_cast<std::size_t>(h)] =
-                (pp == phaseUp && movesUp) ? phaseUp : phaseDown;
-        }
-        if (legal) {
-            for (int h = 0; h < n; ++h)
-                src.winner[static_cast<std::size_t>(h)] =
-                    phase[static_cast<std::size_t>(h)];
-            src.winner[static_cast<std::size_t>(s)] = phaseUp;
-            return src;
-        }
-    }
-
-    // Pass 2: restricted BFS over (hub, phase) states.  From an up
-    // state every live edge is traversable (up moves keep phase up);
-    // from a down state only down moves are.  First state discovered
-    // per hub is that hub's winner; routes replay the state preds.
-    src.restricted = true;
-    src.prev.clear();
     src.spred.assign(static_cast<std::size_t>(n) * 2, StatePred{});
-    std::fill(src.dist.begin(), src.dist.end(), -1);
     std::vector<int> sdist(static_cast<std::size_t>(n) * 2, -1);
-
-    auto stateOf = [](int hub, std::uint8_t ph) {
-        return static_cast<std::size_t>(hub) * 2 + ph;
-    };
 
     std::deque<std::pair<int, std::uint8_t>> frontier;
     src.spred[stateOf(s, phaseUp)].seen = true;
@@ -228,9 +151,17 @@ RouteTable::compileSource(int s) const
         for (const FabricGraph::Adj &a : _graph.adjacencyOf(h)) {
             if (!_graph.linkUp(a.linkIndex))
                 continue;
+            auto un = static_cast<std::size_t>(a.neighbor);
             bool movesUp = upMove(a.linkIndex, a.neighbor);
-            if (ph == phaseDown && movesUp)
-                continue; // the forbidden down->up turn
+            if (ph == phaseDown && movesUp) {
+                // The forbidden down->up turn.  Toward a hub no state
+                // has reached, it is where plain BFS would turn (only
+                // a down winner can meet one: an up winner was offered
+                // every neighbor first).
+                if (src.winner[un] == phaseNone)
+                    src.restricted = true;
+                continue;
+            }
             std::uint8_t nph =
                 (ph == phaseUp && movesUp) ? phaseUp : phaseDown;
             std::size_t ns = stateOf(a.neighbor, nph);
@@ -238,7 +169,6 @@ RouteTable::compileSource(int s) const
                 continue;
             src.spred[ns] = StatePred{h, ph, a.myPort, true};
             sdist[ns] = sdist[stateOf(h, ph)] + 1;
-            auto un = static_cast<std::size_t>(a.neighbor);
             if (src.winner[un] == phaseNone) {
                 src.winner[un] = nph;
                 src.dist[un] = sdist[ns];
@@ -287,29 +217,15 @@ RouteTable::path(int from, int to, std::vector<PathHop> &hops) const
     if (dist(from, to) < 0)
         return false;
     const Source &src = _sources[static_cast<std::size_t>(from)];
-    if (!src.restricted) {
-        // Walk the legacy prev tree destination-first, then reverse —
-        // the same reconstruction route() always did.
-        std::vector<PathHop> rev;
-        for (int h = to; h != from;) {
-            auto [p, port] = src.prev[static_cast<std::size_t>(h)];
-            rev.push_back(PathHop{p, port});
-            h = p;
-        }
-        hops.assign(rev.rbegin(), rev.rend());
-        return true;
-    }
-    std::vector<PathHop> rev;
     int h = to;
     std::uint8_t ph = src.winner[static_cast<std::size_t>(to)];
     while (h != from || ph != phaseUp) {
-        const StatePred &sp =
-            src.spred[static_cast<std::size_t>(h) * 2 + ph];
-        rev.push_back(PathHop{sp.prevHub, sp.port});
+        const StatePred &sp = src.spred[stateOf(h, ph)];
+        hops.push_back(PathHop{sp.prevHub, sp.port});
         h = sp.prevHub;
         ph = sp.prevPhase;
     }
-    hops.assign(rev.rbegin(), rev.rend());
+    std::reverse(hops.begin(), hops.end());
     return true;
 }
 
@@ -344,28 +260,26 @@ RouteTable::restrictedSources() const
 // --------------------------------------------------------------------
 
 RouteTable::McTree
-RouteTable::legacyTree(const Source &src, int from,
-                       const std::vector<int> &destHubs) const
+RouteTable::unionTree(const Source &src, int from,
+                      const std::vector<int> &destHubs) const
 {
-    // The historical union-of-BFS-paths graft, verbatim: walk each
-    // destination toward the source until the walk meets the tree.
+    // The union of the members' paths: walk each destination toward
+    // the source along winner-state preds until the walk meets the
+    // tree.  Unrestricted, a winner's pred is always a winner, so
+    // every hub keeps one parent.
     McTree t;
     std::vector<bool> inTree(static_cast<std::size_t>(numHubs()),
                              false);
     inTree[static_cast<std::size_t>(from)] = true;
     for (int d : destHubs) {
-        if (d != from &&
-            src.prev[static_cast<std::size_t>(d)].first == -1)
+        if (src.dist[static_cast<std::size_t>(d)] < 0)
             return t; // unreachable member: ok stays false
         for (int h = d; !inTree[static_cast<std::size_t>(h)];) {
             inTree[static_cast<std::size_t>(h)] = true;
-            auto [parent, port] =
-                src.prev[static_cast<std::size_t>(h)];
-            auto &kids = t.children[parent];
-            if (std::find(kids.begin(), kids.end(),
-                          std::make_pair(port, h)) == kids.end())
-                kids.emplace_back(port, h);
-            h = parent;
+            const StatePred &sp = src.spred[stateOf(
+                h, src.winner[static_cast<std::size_t>(h)])];
+            t.children[sp.prevHub].emplace_back(sp.port, h);
+            h = sp.prevHub;
         }
     }
     t.ok = true;
@@ -385,9 +299,6 @@ RouteTable::restrictedTree(const Source &src, int from,
     // fan-out, exactly as for a partitioned fabric.
     McTree t;
     const int n = numHubs();
-    auto stateOf = [](int hub, std::uint8_t ph) {
-        return static_cast<std::size_t>(hub) * 2 + ph;
-    };
     std::vector<bool> inTreeHub(static_cast<std::size_t>(n), false);
     std::vector<std::pair<int, std::uint8_t>> treeStates;
     inTreeHub[static_cast<std::size_t>(from)] = true;
@@ -471,7 +382,7 @@ RouteTable::multicastTree(int from,
             sim::fatal("RouteTable::multicastTree: bad hub index");
     const Source &src = _sources[static_cast<std::size_t>(from)];
     return src.restricted ? restrictedTree(src, from, destHubs)
-                          : legacyTree(src, from, destHubs);
+                          : unionTree(src, from, destHubs);
 }
 
 } // namespace nectar::topo

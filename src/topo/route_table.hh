@@ -6,8 +6,7 @@
  * 4.2): routing policy lives entirely in the hosts, so the simulator
  * is free to precompute it.  A RouteTable is that precomputation — a
  * per-source forwarding tree over the inter-HUB graph, rebuilt only
- * when link health changes (Topology::linkVersion()), replacing the
- * historical BFS-per-route() on the forwarding path.
+ * when link health changes (Topology::linkVersion()).
  *
  * Deadlock freedom.  Cut-through worm routing deadlocks when the
  * channel-dependency graph (directed fiber -> directed fiber held
@@ -21,15 +20,31 @@
  * its up arcs and fall strictly on its down arcs — impossible.
  * tests/test_route_table.cc builds the CDG explicitly and checks.
  *
- * Compatibility.  Per source, the compiler first runs the historical
- * plain BFS (same FIFO, same insertion-order adjacency).  If every
- * path of that tree is already up*-down*-legal — true on single HUBs
- * and on the 2-D meshes all existing scenarios use, where adjacency
- * order makes BFS take north/west (up) moves before east/south — the
- * legacy tree is kept verbatim, byte-identical routes and all.  Only
- * sources whose legacy tree would take an illegal down->up turn fall
- * back to a restricted search over (hub, phase) states, trading a few
- * extra hops for provable freedom from deadlock.
+ * One search.  Per source, the compiler runs a FIFO BFS over (hub,
+ * phase) states in link-insertion adjacency order: from an up state
+ * every live trunk is traversable, from a down state only down moves
+ * are, and the first state to reach a hub is that hub's winner.  The
+ * source is restricted once a down state is refused an up move to a
+ * hub no state has reached yet.
+ *
+ * Why unrestricted routes are the historical plain-BFS routes.  Until
+ * that refusal, winner states reach every hub from the same parent,
+ * in the same order, as plain BFS does.  A hub's second state is
+ * expanded after its winner and can only reach hubs the winner was
+ * already offered: an up winner is offered every trunk, and a down
+ * winner is refused only hubs already reached (else the source would
+ * be restricted).  So second states never discover a new hub, and the
+ * winners' preds form the plain-BFS tree, phases and all.  The first
+ * refusal is then exactly the first down->up turn of that tree: the
+ * refused hub is unreached, so plain BFS attaches it there, and a
+ * tree whose first down->up turn comes earlier would have been
+ * refused earlier.  A source is therefore restricted precisely when
+ * its plain-BFS tree is illegal, and every other source keeps its
+ * plain-BFS routes byte for byte.  On single HUBs and the 2-D meshes
+ * all existing scenarios use that is every source, since adjacency
+ * order makes BFS take north/west (up) moves before east/south.
+ * Restricted sources keep the search's detours, trading a few extra
+ * hops for provable freedom from deadlock.
  */
 
 #pragma once
@@ -48,7 +63,7 @@ struct TopologyDescription;
  * A plain snapshot of the inter-HUB graph: just indices, ports, and
  * link health — no live HUBs, so tests and benchmarks can compile
  * tables straight from a TopologyDescription.  Adjacency lists keep
- * link-insertion order, exactly as Topology builds them.
+ * link-insertion order; Topology inserts trunks in linkHubs() order.
  */
 class FabricGraph
 {
@@ -137,11 +152,10 @@ class RouteTable
     bool path(int from, int to, std::vector<PathHop> &hops) const;
 
     /**
-     * A spanning tree covering @p destHubs, attachment order matching
-     * the historical union-of-BFS-paths graft on legacy-compatible
-     * sources.  ok == false when a member is unreachable or (on a
-     * restricted source) no legal tree exists; callers fall back to
-     * unicast fan-out.
+     * A spanning tree covering @p destHubs: the union of the members'
+     * path()s, in member order, on unrestricted sources.  ok == false
+     * when a member is unreachable or (on a restricted source) no
+     * legal tree exists; callers fall back to unicast fan-out.
      */
     McTree multicastTree(int from,
                          const std::vector<int> &destHubs) const;
@@ -149,11 +163,15 @@ class RouteTable
     /** HUB index of the up (root-ward) end of link @p linkIndex. */
     int upEndOf(int linkIndex) const;
 
-    /** True if the legacy BFS tree from @p s took an illegal
-     *  down->up turn and the restricted search is in force. */
+    /**
+     * True if the search from @p s was refused a down->up turn toward
+     * a hub it had not reached — exactly when the plain-BFS tree from
+     * @p s turns down->up (see the file comment).  Only restricted
+     * sources may route longer than the shortest path.
+     */
     bool restrictedSource(int s) const;
 
-    /** Sources falling back to the restricted search (for stats). */
+    /** Sources that are restricted (for stats). */
     int restrictedSources() const;
 
   private:
@@ -172,15 +190,16 @@ class RouteTable
     struct Source
     {
         bool restricted = false;
-        /** Legacy tree: (prevHub, portOnPrev toward me), -1 root or
-         *  unreachable.  Empty when restricted. */
-        std::vector<std::pair<int, hub::PortId>> prev;
-        /** Restricted tree over states [hub * 2 + phase].  Empty when
-         *  legacy-compatible. */
+        /** Search tree over states [stateOf(hub, phase)]. */
         std::vector<StatePred> spred;
         std::vector<std::uint8_t> winner; ///< Phase per hub reached.
         std::vector<int> dist;            ///< Hub-hops, -1 unreachable.
     };
+
+    static std::size_t stateOf(int hub, std::uint8_t phase)
+    {
+        return static_cast<std::size_t>(hub) * 2 + phase;
+    }
 
     /** True if moving across @p linkIndex and arriving at
      *  @p arriveHub is an up (root-ward) move. */
@@ -192,8 +211,8 @@ class RouteTable
 
     void orient();
     Source compileSource(int s) const;
-    McTree legacyTree(const Source &src, int from,
-                      const std::vector<int> &destHubs) const;
+    McTree unionTree(const Source &src, int from,
+                     const std::vector<int> &destHubs) const;
     McTree restrictedTree(const Source &src, int from,
                           const std::vector<int> &destHubs) const;
 

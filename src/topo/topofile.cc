@@ -35,15 +35,17 @@ tokenize(const std::string &line)
 std::int64_t
 parseInt(const std::string &s, int line, const std::string &what)
 {
+    constexpr std::int64_t maxValue = std::int64_t{1} << 60;
     if (s.empty())
         parseFatal(line, "empty " + what);
     std::int64_t v = 0;
     for (char c : s) {
         if (c < '0' || c > '9')
             parseFatal(line, "bad " + what + " '" + s + "'");
-        v = v * 10 + (c - '0');
-        if (v > (std::int64_t{1} << 60))
+        // Bound before the multiply, so v * 10 can never overflow.
+        if (v > (maxValue - (c - '0')) / 10)
             parseFatal(line, what + " out of range: '" + s + "'");
+        v = v * 10 + (c - '0');
     }
     return v;
 }

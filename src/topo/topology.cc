@@ -23,7 +23,6 @@ Topology::addHub(const std::string &name)
         name.empty() ? "hub" + std::to_string(index) : name;
     hubs.push_back(std::make_unique<hub::Hub>(
         eq, hub_name, static_cast<std::uint8_t>(index), config));
-    adjacency.emplace_back();
     portUsed.emplace_back(config.numPorts, false);
     _table.reset(); // the graph grew: stale table, recompile lazily
     return index;
@@ -82,8 +81,6 @@ Topology::linkHubs(int a, hub::PortId pa, int b, hub::PortId pb,
     int index = static_cast<int>(_hubLinks.size());
     _hubLinks.push_back(HubLink{a, pa, b, pb, fibers.forward,
                                 fibers.reverse, true});
-    adjacency[a].push_back(Adj{b, pa, index});
-    adjacency[b].push_back(Adj{a, pb, index});
     _table.reset(); // the graph grew: stale table, recompile lazily
     return index;
 }
@@ -342,23 +339,6 @@ buildTopology(sim::EventQueue &eq, const TopologyDescription &d,
     for (const TrunkDecl &tr : d.trunks)
         t->linkHubs(tr.a, tr.pa, tr.b, tr.pb, tr.latency, tr.width);
     return t;
-}
-
-std::unique_ptr<Topology>
-makeSingleHub(sim::EventQueue &eq, const hub::HubConfig &config)
-{
-    return buildTopology(eq, describeSingleHub(0, config.numPorts),
-                         config);
-}
-
-std::unique_ptr<Topology>
-makeMesh2D(sim::EventQueue &eq, int rows, int cols,
-           const hub::HubConfig &config, sim::Tick interHubDelay)
-{
-    return buildTopology(
-        eq, describeMesh2D(rows, cols, 0, interHubDelay,
-                           config.numPorts),
-        config);
 }
 
 } // namespace nectar::topo

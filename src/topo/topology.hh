@@ -157,8 +157,8 @@ class Topology
     const FiberPair &endpointFibers(int hub, hub::PortId port) const;
 
     /**
-     * Compute the shortest route from @p from to @p to over the
-     * links currently up.
+     * Compute the route from @p from to @p to over the links
+     * currently up (the compiled table's up*-down* path).
      *
      * The final hop opens the destination CAB's port and carries the
      * reply request; intermediate hops open inter-HUB connections.
@@ -202,14 +202,6 @@ class Topology
     Wiring &wiring() { return _wiring; }
 
   private:
-    /** Per-hub adjacency: (neighbor hub, my port toward it). */
-    struct Adj
-    {
-        int neighbor;
-        hub::PortId myPort;
-        int linkIndex; ///< Into _hubLinks, for health lookups.
-    };
-
     /** Index into _hubLinks of the link at (hub, port), or -1. */
     int findHubLink(int hub, hub::PortId port) const;
 
@@ -219,7 +211,6 @@ class Topology
     hub::HubConfig config;
     Wiring _wiring;
     std::vector<std::unique_ptr<hub::Hub>> hubs;
-    std::vector<std::vector<Adj>> adjacency;
     std::vector<std::vector<bool>> portUsed;
     std::vector<HubLink> _hubLinks;
     std::map<std::pair<int, int>, FiberPair> endpointLinks;
@@ -235,35 +226,13 @@ class Topology
 
 /**
  * Build the HUBs and trunks of @p d into a live Topology.  CAB
- * attachment is left to the caller (the CAB layer / nectarine), as
- * with the historical builders.  A non-zero d.hubPorts overrides
- * config.numPorts; everything else in @p config applies unchanged.
+ * attachment is left to the caller (the CAB layer / nectarine).  A
+ * non-zero d.hubPorts overrides config.numPorts; everything else in
+ * @p config applies unchanged.
  */
 std::unique_ptr<Topology>
 buildTopology(sim::EventQueue &eq, const TopologyDescription &d,
               const hub::HubConfig &config = {});
-
-/**
- * Build a single-HUB star (Figure 2): one HUB, @p cabs endpoints
- * expected on ports [0, cabs).  Endpoint attachment is left to the
- * caller (the CAB layer).
- */
-std::unique_ptr<Topology>
-makeSingleHub(sim::EventQueue &eq, const hub::HubConfig &config = {});
-
-/**
- * Build a 2-D mesh of HUB clusters (Figure 4).
- *
- * Inter-HUB links use the four highest port numbers (east, west,
- * south, north), leaving numPorts-4 ports per HUB for CABs.
- *
- * @param rows Mesh rows.
- * @param cols Mesh columns.
- */
-std::unique_ptr<Topology>
-makeMesh2D(sim::EventQueue &eq, int rows, int cols,
-           const hub::HubConfig &config = {},
-           sim::Tick interHubDelay = 0);
 
 /** Mesh helper: index of the HUB at (row, col). */
 inline int

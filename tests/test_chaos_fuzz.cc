@@ -124,6 +124,23 @@ TEST(PlanIo, MalformedInputIsFatal)
     EXPECT_THROW(loadPlan(testing::TempDir() +
                           "chaos_fuzz_does_not_exist.plan"),
                  sim::FatalError);
+
+    // Target fields must be whole integers: atoi would read these as
+    // hub 0, port 1 and site 0 and fault the wrong target.
+    for (const char *event :
+         {"event at=5 action=hubLinkDown hub=two port=1 site=-1",
+          "event at=5 action=hubLinkDown hub=2 port=1x site=-1",
+          "event at=5 action=cabCrash hub=-1 port=-1 site=-"}) {
+        try {
+            parsePlan(std::string("nectar-fault-plan v1\nseed 1\n") +
+                      event + "\nend\n");
+            ADD_FAILURE() << event << " parsed";
+        } catch (const sim::FatalError &e) {
+            EXPECT_NE(std::string(e.what()).find("line 3"),
+                      std::string::npos)
+                << e.what();
+        }
+    }
 }
 
 // ----- plan validation policy ---------------------------------------

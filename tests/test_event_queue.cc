@@ -168,6 +168,26 @@ TEST(EventQueue, RunRespectsEventLimit)
     EXPECT_EQ(count, 1000);
 }
 
+TEST(EventQueue, RunUntilStoppedByLimitKeepsTimeMonotonic)
+{
+    EventQueue eq;
+    std::vector<Tick> fired;
+    for (Tick t : {10, 20, 30})
+        eq.schedule(t, [&eq, &fired] { fired.push_back(eq.now()); });
+
+    // The limit stops the run with 20 and 30 still due before 100:
+    // now() must not jump past them.
+    EXPECT_EQ(eq.runUntil(100, 1), 1u);
+    EXPECT_EQ(eq.now(), 10);
+    EXPECT_EQ(eq.run(1), 1u);
+    EXPECT_EQ(eq.now(), 20);
+
+    // Without the limit the rest fires and now() lands on the target.
+    EXPECT_EQ(eq.runUntil(100), 1u);
+    EXPECT_EQ(eq.now(), 100);
+    EXPECT_EQ(fired, (std::vector<Tick>{10, 20, 30}));
+}
+
 TEST(EventQueue, ExecutedCountAccumulates)
 {
     EventQueue eq;

@@ -613,7 +613,7 @@ TEST_F(MultiHubTest, PacketSwitchingStoreAndForward)
 
 TEST_F(MultiHubTest, MeshRouteHopCountsMatchManhattanDistance)
 {
-    auto mesh = topo::makeMesh2D(eq, 3, 3);
+    auto mesh = topo::buildTopology(eq, topo::describeMesh2D(3, 3, 0));
     // Corner to corner: 4 inter-hub hops + the destination hop.
     topo::Endpoint a{topo::meshHubIndex(0, 0, 3), 0};
     topo::Endpoint b{topo::meshHubIndex(2, 2, 3), 0};
@@ -625,7 +625,7 @@ TEST_F(MultiHubTest, MeshRouteHopCountsMatchManhattanDistance)
 
 TEST_F(MultiHubTest, MeshEndToEndDelivery)
 {
-    topo = topo::makeMesh2D(eq, 2, 2);
+    topo = topo::buildTopology(eq, topo::describeMesh2D(2, 2, 0));
     auto &src = addEp(topo::meshHubIndex(0, 0, 2), 0);
     auto &dst = addEp(topo::meshHubIndex(1, 1, 2), 3);
 

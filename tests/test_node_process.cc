@@ -3,14 +3,13 @@
  * Node-resident Nectarine tasks: processes on nodes exchanging
  * messages with CAB tasks and with each other through the
  * shared-memory interface ("Tasks are processes on any CAB or node",
- * Section 6.3).  Also covers the trace sink.
+ * Section 6.3).
  */
 
 #include <gtest/gtest.h>
 
 #include "nectarine/nectarine.hh"
 #include "node/node_process.hh"
-#include "sim/trace.hh"
 
 // nectar-lint-file: capture-ok test frames drive eq.run() to
 // completion before any captured locals leave scope
@@ -22,39 +21,6 @@ using nectarine::NectarSystem;
 using nectarine::TaskContext;
 using sim::Task;
 using sim::ticks::us;
-
-// ----- Trace sink ------------------------------------------------------
-
-TEST(Trace, MemorySinkRecordsAndCounts)
-{
-    sim::EventQueue eq;
-    sim::MemoryTraceSink sink(3);
-    sim::Tracer trace(eq, "unit");
-    EXPECT_FALSE(trace.enabled());
-    trace("ignored"); // unattached: no-op
-    trace.attach(sink);
-    EXPECT_TRUE(trace.enabled());
-    for (int i = 0; i < 5; ++i)
-        trace("tick", std::to_string(i));
-    EXPECT_EQ(sink.all().size(), 3u); // capacity eviction
-    EXPECT_EQ(sink.count("tick"), 3u);
-    EXPECT_EQ(sink.all().back().detail, "4");
-    EXPECT_EQ(sink.all().back().source, "unit");
-    sink.clear();
-    EXPECT_TRUE(sink.all().empty());
-}
-
-TEST(Trace, StreamSinkFormatsLines)
-{
-    sim::EventQueue eq;
-    std::ostringstream os;
-    sim::StreamTraceSink sink(os);
-    sim::Tracer trace(eq, "hub0");
-    trace.attach(sink);
-    eq.schedule(42 * sim::ticks::ns, [&] { trace("open", "p3"); });
-    eq.run();
-    EXPECT_EQ(os.str(), "[42] hub0 open: p3\n");
-}
 
 // ----- Node processes ----------------------------------------------------
 

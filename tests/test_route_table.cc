@@ -2,13 +2,14 @@
  * @file
  * Route-table compiler tests (DESIGN.md "Fabrics and routing").
  *
- * The heart of the tentpole guarantee: for meshes, tori, fat trees,
- * and a batch of seeded random regular graphs, the compiled tables
- * must (a) reach exactly what a plain BFS reaches, (b) emit only
- * up*-down* legal paths, and (c) induce an acyclic channel-dependency
- * graph — built explicitly here, directed fiber by directed fiber —
- * so cut-through worm routing cannot deadlock on any fabric a .topo
- * file can describe.  Plus the route-cache audit: linkVersion bumps
+ * For meshes, tori, fat trees, and a batch of seeded random regular
+ * graphs, the compiled tables must (a) reach exactly what a plain BFS
+ * reaches, (b) emit only up*-down* legal paths, (c) induce an acyclic
+ * channel-dependency graph — built explicitly here, directed fiber by
+ * directed fiber — so cut-through worm routing cannot deadlock on any
+ * fabric a .topo file can describe, and (d) route every source whose
+ * plain-BFS tree is legal exactly as that tree does, with or without
+ * dead trunks.  Plus the route-cache audit: linkVersion bumps
  * must invalidate NetworkDirectory's cached routes, and a
  * fail-then-recover cycle must restore the original path bit for bit.
  */
@@ -110,29 +111,99 @@ acyclic(const std::vector<std::vector<int>> &cdg)
     return true;
 }
 
-/** Plain undirected BFS distances over up links (the reference). */
-std::vector<int>
-bfsDist(const FabricGraph &g, int from)
+/**
+ * The router the table replaced, kept as the reference: plain FIFO
+ * BFS over up links in adjacency order (first discovery wins), plus
+ * whether its tree takes a down->up turn under @p t's orientation.
+ */
+struct ReferenceTree
 {
-    std::vector<int> dist(static_cast<std::size_t>(g.numHubs()), -1);
+    /** (parent hub, port on parent), -1 for the root or unreached. */
+    std::vector<std::pair<int, hub::PortId>> prev;
+    std::vector<int> dist; ///< Hub-hops, -1 unreachable.
+    bool turnsDownUp = false;
+};
+
+ReferenceTree
+referenceTree(const FabricGraph &g, const RouteTable &t, int from)
+{
+    const auto n = static_cast<std::size_t>(g.numHubs());
+    ReferenceTree r;
+    r.prev.assign(n, {-1, hub::noPort});
+    r.dist.assign(n, -1);
+    std::vector<bool> wentDown(n, false);
     std::vector<int> queue{from};
-    dist[static_cast<std::size_t>(from)] = 0;
+    r.dist[static_cast<std::size_t>(from)] = 0;
     for (std::size_t head = 0; head < queue.size(); ++head) {
-        int h = queue[head];
-        for (const auto &a : g.adjacencyOf(h)) {
-            if (!g.linkUp(a.linkIndex) ||
-                dist[static_cast<std::size_t>(a.neighbor)] >= 0)
+        const auto h = static_cast<std::size_t>(queue[head]);
+        for (const auto &a : g.adjacencyOf(queue[head])) {
+            const auto u = static_cast<std::size_t>(a.neighbor);
+            if (!g.linkUp(a.linkIndex) || r.dist[u] >= 0)
                 continue;
-            dist[static_cast<std::size_t>(a.neighbor)] =
-                dist[static_cast<std::size_t>(h)] + 1;
+            r.prev[u] = {queue[head], a.myPort};
+            r.dist[u] = r.dist[h] + 1;
+            bool up = t.upEndOf(a.linkIndex) == a.neighbor;
+            r.turnsDownUp |= wentDown[h] && up;
+            wentDown[u] = wentDown[h] || !up;
             queue.push_back(a.neighbor);
         }
     }
-    return dist;
+    return r;
+}
+
+/**
+ * The byte-identity guarantee: a source is restricted exactly when
+ * the reference tree turns down->up, and every other source routes
+ * (unicast and union-of-paths multicast) exactly as the reference.
+ */
+void
+checkMatchesReference(const FabricGraph &g, const RouteTable &t)
+{
+    for (int s = 0; s < g.numHubs(); ++s) {
+        ReferenceTree ref = referenceTree(g, t, s);
+        ASSERT_EQ(t.restrictedSource(s), ref.turnsDownUp)
+            << "source " << s;
+        if (ref.turnsDownUp)
+            continue;
+        std::vector<int> reached;
+        for (int e = 0; e < g.numHubs(); ++e) {
+            ASSERT_EQ(t.dist(s, e), ref.dist[static_cast<std::size_t>(e)])
+                << s << "->" << e;
+            if (ref.dist[static_cast<std::size_t>(e)] < 0)
+                continue;
+            reached.push_back(e);
+            std::vector<RouteTable::PathHop> want;
+            for (int h = e; h != s;) {
+                auto [p, port] = ref.prev[static_cast<std::size_t>(h)];
+                want.insert(want.begin(), RouteTable::PathHop{p, port});
+                h = p;
+            }
+            std::vector<RouteTable::PathHop> got;
+            ASSERT_TRUE(t.path(s, e, got));
+            EXPECT_EQ(got, want) << s << "->" << e;
+        }
+
+        // Multicast to every reached hub: the graft attaches each
+        // reference path where it meets the tree.
+        RouteTable::McTree want;
+        std::vector<bool> inTree(static_cast<std::size_t>(g.numHubs()));
+        inTree[static_cast<std::size_t>(s)] = true;
+        for (int d : reached)
+            for (int h = d; !inTree[static_cast<std::size_t>(h)];) {
+                inTree[static_cast<std::size_t>(h)] = true;
+                auto [p, port] = ref.prev[static_cast<std::size_t>(h)];
+                want.children[p].emplace_back(port, h);
+                h = p;
+            }
+        RouteTable::McTree got = t.multicastTree(s, reached);
+        ASSERT_TRUE(got.ok) << "source " << s;
+        EXPECT_EQ(got.children, want.children) << "source " << s;
+    }
 }
 
 /** The full battery: paths valid + legal, CDG acyclic, reachability
- *  and distances consistent with plain BFS. */
+ *  and distances consistent with plain BFS, unrestricted sources
+ *  identical to it. */
 void
 checkFabric(const TopologyDescription &d)
 {
@@ -144,14 +215,14 @@ checkFabric(const TopologyDescription &d)
     std::vector<std::vector<int>> cdg(
         static_cast<std::size_t>(g.numLinks()) * 2);
     for (int s = 0; s < g.numHubs(); ++s) {
-        std::vector<int> ref = bfsDist(g, s);
+        std::vector<int> ref = referenceTree(g, t, s).dist;
         for (int e = 0; e < g.numHubs(); ++e) {
             bool reach = ref[static_cast<std::size_t>(e)] >= 0;
             EXPECT_EQ(t.reachable(s, e), reach) << s << "->" << e;
             if (!reach || s == e)
                 continue;
             // Restricted sources may detour (legality over hop
-            // count); legacy-compatible ones keep BFS distances.
+            // count); the others keep BFS distances.
             EXPECT_GE(t.dist(s, e), ref[static_cast<std::size_t>(e)]);
             if (!t.restrictedSource(s)) {
                 EXPECT_EQ(t.dist(s, e),
@@ -161,6 +232,15 @@ checkFabric(const TopologyDescription &d)
         }
     }
     EXPECT_TRUE(acyclic(cdg)) << "channel-dependency cycle";
+    checkMatchesReference(g, t);
+
+    // Again with each trunk down in turn (which may partition).
+    for (int li = 0; li < g.numLinks(); ++li) {
+        SCOPED_TRACE("link " + std::to_string(li) + " down");
+        g.setLinkUp(li, false);
+        checkMatchesReference(g, RouteTable::compile(g));
+        g.setLinkUp(li, true);
+    }
 }
 
 } // namespace
@@ -200,9 +280,9 @@ TEST(RouteTableTest, RandomRegularGraphsLegalAndCdgAcyclic)
 
 TEST(RouteTableTest, LegacyMeshSourcesAreNeverRestricted)
 {
-    // The compatibility guarantee: on the fabrics the historical BFS
-    // served (single HUB, 2-D meshes), every legacy tree is already
-    // legal, so routes stay byte-identical to the old router.
+    // On the fabrics the historical BFS router served (single HUB,
+    // 2-D meshes) every plain-BFS tree is already legal, so no source
+    // is restricted and every route is the old router's.
     for (auto [r, c] : {std::pair{1, 1}, {2, 2}, {2, 3}, {4, 4}}) {
         RouteTable t = RouteTable::compile(FabricGraph::ofDescription(
             describeMesh2D(r, c, 0)));
@@ -230,6 +310,7 @@ TEST(RouteTableTest, SurvivesLinkFailuresStillAcyclic)
                     checkPath(g, t, s, e, cdg);
             }
         EXPECT_TRUE(acyclic(cdg)) << "dead link " << li;
+        checkMatchesReference(g, t);
         g.setLinkUp(li, true);
     }
 }

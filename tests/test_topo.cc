@@ -102,7 +102,7 @@ TEST(LinkHealth, MeshRoutesAroundFailure)
 {
     // 2x2 mesh: hub0-hub1 down forces 0 -> 2 -> 3 -> 1.
     sim::EventQueue eq;
-    auto t = makeMesh2D(eq, 2, 2);
+    auto t = buildTopology(eq, describeMesh2D(2, 2, 0));
     auto direct = t->route({0, 0}, {1, 0});
     ASSERT_EQ(direct.size(), 2u);
 
@@ -243,10 +243,14 @@ TEST(Topology, MulticastTreeOverlapsExistingCircuitRoute)
 TEST(Topology, MeshBuilderValidation)
 {
     sim::EventQueue eq;
-    EXPECT_THROW(makeMesh2D(eq, 0, 3), sim::FatalError);
+    EXPECT_THROW(buildTopology(eq, describeMesh2D(0, 3, 0)),
+                 sim::FatalError);
     hub::HubConfig tiny;
     tiny.numPorts = 4;
-    EXPECT_THROW(makeMesh2D(eq, 2, 2, tiny), sim::FatalError);
+    EXPECT_THROW(buildTopology(eq,
+                               describeMesh2D(2, 2, 0, 0, tiny.numPorts),
+                               tiny),
+                 sim::FatalError);
 }
 
 // ---- Property sweep: route invariants on meshes of many sizes ------
@@ -258,7 +262,7 @@ TEST_P(MeshRouting, RoutesAreValidAndShortest)
 {
     auto [rows, cols] = GetParam();
     sim::EventQueue eq;
-    auto t = makeMesh2D(eq, rows, cols);
+    auto t = buildTopology(eq, describeMesh2D(rows, cols, 0));
 
     for (int a = 0; a < rows * cols; ++a) {
         for (int b = 0; b < rows * cols; ++b) {
@@ -305,7 +309,7 @@ TEST_P(MeshMulticast, TreeCoversAllDestinationsWithoutDuplicates)
 {
     auto [rows, cols] = GetParam();
     sim::EventQueue eq;
-    auto t = makeMesh2D(eq, rows, cols);
+    auto t = buildTopology(eq, describeMesh2D(rows, cols, 0));
     int n = rows * cols;
 
     // Multicast from hub 0 to a CAB on every hub.

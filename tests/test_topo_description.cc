@@ -316,12 +316,21 @@ TEST(TopoFileTest, MalformedInputIsFatal)
 
 TEST(TopoFileTest, ParseErrorsCarryTheLineNumber)
 {
-    try {
-        parseTopology("nectar-topo v1\nhub a\nbogus\nend\n");
-        FAIL() << "parse succeeded";
-    } catch (const sim::FatalError &e) {
-        EXPECT_NE(std::string(e.what()).find("line 3"),
-                  std::string::npos)
-            << e.what();
-    }
+    auto expectLine = [](const std::string &text,
+                         const std::string &where) {
+        try {
+            parseTopology(text);
+            FAIL() << "parse succeeded";
+        } catch (const sim::FatalError &e) {
+            EXPECT_NE(std::string(e.what()).find(where),
+                      std::string::npos)
+                << e.what();
+        }
+    };
+    expectLine("nectar-topo v1\nhub a\nbogus\nend\n", "line 3");
+    // 19 digits: past the 2^60 bound, and past INT64_MAX once
+    // multiplied — rejected on its line, not wrapped negative.
+    expectLine("nectar-topo v1\nhub a\nhub b\n"
+               "trunk a.0 b.0 latency=9999999999999999999\nend\n",
+               "line 4: latency out of range");
 }
