@@ -15,16 +15,14 @@
  *        mid-operation — must resolve via timeout + group epoch bump,
  *        never hang.
  *
- * Besides the google-benchmark console output, every row is collected
- * into BENCH_collectives.json (written by main) so downstream tooling
- * can consume the results without scraping.
+ * Every row also lands in BENCH_collectives.json (sim::Report, written
+ * by main) with the same user counters the console prints, so
+ * downstream tooling can consume the results without scraping.
  */
 
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
-#include <fstream>
-#include <map>
 #include <memory>
 #include <string>
 #include <vector>
@@ -34,6 +32,7 @@
 #include "fault/chaos.hh"
 #include "fault/plan.hh"
 #include "nectarine/nectarine.hh"
+#include "sim/report.hh"
 #include "workload/allreduce.hh"
 
 using namespace nectar;
@@ -45,37 +44,28 @@ using namespace sim::ticks;
 
 namespace {
 
-// ----- JSON row collection ------------------------------------------
-
-struct Row
-{
-    std::string op;
-    int members = 0;
-    int bytes = 0;
-    std::string path;
-    std::map<std::string, double> metrics;
-};
-
-std::map<std::string, Row> &
-rows()
-{
-    static std::map<std::string, Row> r;
-    return r;
-}
-
-void
-record(Row row)
-{
-    std::string key = row.op + "/" + std::to_string(row.members) +
-                      "/" + std::to_string(row.bytes) + "/" +
-                      row.path;
-    rows()[key] = std::move(row);
-}
-
 const char *
 pathName(collective::McastPath p)
 {
     return p == collective::McastPath::unicast ? "unicast" : "hw";
+}
+
+sim::Report report("collectives");
+
+/** Record one benchmark's row: its user counters plus the group
+ *  shape, keyed "<op>/<members>/<bytes>/<path>". */
+void
+recordRun(const benchmark::State &state, const std::string &op,
+          int members, int bytes, collective::McastPath path)
+{
+    const std::string p = pathName(path);
+    auto &row = report.record(op + "/" + std::to_string(members) +
+                                  "/" + std::to_string(bytes) + "/" +
+                                  p,
+                              {{"op", op}, {"path", p}});
+    row.metricsFrom(state.counters);
+    row.metrics["members"] = members;
+    row.metrics["bytes"] = bytes;
 }
 
 // ----- C1: broadcast latency ----------------------------------------
@@ -153,13 +143,8 @@ C1_Broadcast(benchmark::State &state)
     state.counters["ok_members"] = r.okMembers;
     state.counters["hw_packets"] = r.hwPackets;
     state.counters["unicast_packets"] = r.uniPackets;
-    Row row{"broadcast", members, static_cast<int>(bytes),
-            pathName(path), {}};
-    row.metrics["latency_us"] = r.latencyNs / 1e3;
-    row.metrics["ok_members"] = r.okMembers;
-    row.metrics["hw_packets"] = r.hwPackets;
-    row.metrics["unicast_packets"] = r.uniPackets;
-    record(std::move(row));
+    recordRun(state, "broadcast", members, static_cast<int>(bytes),
+              path);
 }
 BENCHMARK(C1_Broadcast)
     ->ArgsProduct({{2, 4, 8, 16}, {512}, {0, 1}})
@@ -226,15 +211,10 @@ C2_Allreduce(benchmark::State &state)
     state.counters["wrong_members"] = r.report.wrongMembers;
     state.counters["fingerprint_lo"] = static_cast<double>(
         r.report.fingerprint & 0xFFFFFFFFull);
-    Row row{"allreduce", members, static_cast<int>(bytes),
-            pathName(path), {}};
-    row.metrics["latency_us"] = perOpNs / 1e3;
-    row.metrics["goodput_MBs"] = state.counters["goodput_MBs"];
-    row.metrics["ok_members"] = r.report.okMembers;
-    row.metrics["wrong_members"] = r.report.wrongMembers;
-    row.metrics["hw_packets"] = r.hwPackets;
-    row.metrics["unicast_packets"] = r.uniPackets;
-    record(std::move(row));
+    state.counters["hw_packets"] = r.hwPackets;
+    state.counters["unicast_packets"] = r.uniPackets;
+    recordRun(state, "allreduce", members, static_cast<int>(bytes),
+              path);
 }
 BENCHMARK(C2_Allreduce)
     ->ArgsProduct({{2, 4, 8, 16}, {256, 16384}, {0, 1}})
@@ -300,59 +280,11 @@ C3_AllreduceMemberCrash(benchmark::State &state)
         static_cast<double>(r.endOfSim) / 1e6;
     state.counters["epoch_bumps"] =
         static_cast<double>(r.epochBumps);
-    Row row{"allreduce_crash", members, 16384, pathName(path), {}};
-    row.metrics["resolved"] = resolved ? 1 : 0;
-    row.metrics["resolve_ms"] = state.counters["resolve_ms"];
-    row.metrics["epoch_bumps"] = state.counters["epoch_bumps"];
-    record(std::move(row));
+    recordRun(state, "allreduce_crash", members, 16384, path);
 }
 BENCHMARK(C3_AllreduceMemberCrash)
     ->ArgsProduct({{8}, {0, 1}})
     ->ArgNames({"members", "path"});
-
-// ----- JSON output --------------------------------------------------
-
-void
-writeJson(const std::string &file)
-{
-    // Acceptance summary: hardware multicast broadcast must beat the
-    // unicast fan-out for every measured group of at least 4.
-    bool hwBeats = true, sawPair = false;
-    for (const auto &[key, row] : rows()) {
-        if (row.op != "broadcast" || row.members < 4 ||
-            row.path != "hw")
-            continue;
-        auto uni = rows().find("broadcast/" +
-                               std::to_string(row.members) + "/" +
-                               std::to_string(row.bytes) +
-                               "/unicast");
-        if (uni == rows().end())
-            continue;
-        sawPair = true;
-        if (row.metrics.at("latency_us") >=
-            uni->second.metrics.at("latency_us"))
-            hwBeats = false;
-    }
-    std::ofstream out(file);
-    out << "{\n  \"bench\": \"collectives\",\n";
-    out << "  \"hw_beats_unicast_broadcast_ge4\": "
-        << (sawPair && hwBeats ? "true" : "false") << ",\n";
-    out << "  \"rows\": [\n";
-    bool first = true;
-    for (const auto &[key, row] : rows()) {
-        if (!first)
-            out << ",\n";
-        first = false;
-        out << "    {\"op\": \"" << row.op
-            << "\", \"members\": " << row.members
-            << ", \"bytes\": " << row.bytes << ", \"path\": \""
-            << row.path << "\"";
-        for (const auto &[k, v] : row.metrics)
-            out << ", \"" << k << "\": " << v;
-        out << "}";
-    }
-    out << "\n  ]\n}\n";
-}
 
 } // namespace
 
@@ -364,6 +296,22 @@ main(int argc, char **argv)
         return 1;
     benchmark::RunSpecifiedBenchmarks();
     benchmark::Shutdown();
-    writeJson("BENCH_collectives.json");
-    return 0;
+
+    // Acceptance summary: hardware multicast broadcast must beat the
+    // unicast fan-out for every measured group of at least 4.
+    bool hwBeats = true, sawPair = false;
+    for (const auto &[key, row] : report.rows()) {
+        if (!key.starts_with("broadcast/") || !key.ends_with("/hw") ||
+            row.metrics.at("members") < 4)
+            continue;
+        const auto *uni =
+            report.find(key.substr(0, key.size() - 2) + "unicast");
+        if (!uni)
+            continue;
+        sawPair = true;
+        hwBeats = hwBeats && row.metrics.at("latency_us") <
+                                 uni->metrics.at("latency_us");
+    }
+    report.setFlag("hw_beats_unicast_broadcast_ge4", sawPair && hwBeats);
+    return report.write("BENCH_collectives.json") ? 0 : 1;
 }

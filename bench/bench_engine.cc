@@ -21,7 +21,8 @@
  * Every row lands in BENCH_engine.json along with the wheel/seed
  * speedups and a steady-state allocation count: after warm-up, one
  * million schedule/fire cycles on the wheel engine must perform zero
- * heap allocations (global operator new is instrumented below).
+ * heap allocations (helpers/alloc_counter.hh counts every global
+ * operator new, exactly).
  */
 
 #include <benchmark/benchmark.h>
@@ -29,81 +30,20 @@
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
-#include <cstdlib>
-#include <fstream>
-#include <map>
-#include <new>
 #include <string>
 #include <utility>
 #include <vector>
 
+#include "helpers/alloc_counter.hh"
 #include "helpers/legacy_event_queue.hh"
 #include "sim/event_queue.hh"
 #include "sim/random.hh"
+#include "sim/report.hh"
 
 // nectar-lint-file: capture-ok every scenario drives eq.run() to
 // completion before any captured frame local leaves scope
 // nectar-lint-file: wallclock-ok this harness measures real
 // events-per-second throughput; steady_clock never feeds sim state
-
-// ----- global allocation counter ------------------------------------
-//
-// Counts every operator-new in the process; scenario deltas isolate
-// the engine's steady-state behaviour.  Counting is exact, not
-// sampled, so "0 allocations per million events" is a hard claim.
-
-namespace {
-std::uint64_t g_newCalls = 0;
-
-// Kept out of line: once a replaced delete inlines into its caller,
-// GCC sees free() applied to a pointer that came from operator new
-// and warns (-Wmismatched-new-delete).  Counting happens in operator
-// new alone, so this changes no count.
-[[gnu::noinline]] void
-releaseBlock(void *p) noexcept
-{
-    std::free(p);
-}
-} // namespace
-
-void *
-operator new(std::size_t n)
-{
-    ++g_newCalls;
-    if (void *p = std::malloc(n == 0 ? 1 : n))
-        return p;
-    throw std::bad_alloc();
-}
-
-void *
-operator new[](std::size_t n)
-{
-    return ::operator new(n);
-}
-
-void
-operator delete(void *p) noexcept
-{
-    releaseBlock(p);
-}
-
-void
-operator delete(void *p, std::size_t) noexcept
-{
-    releaseBlock(p);
-}
-
-void
-operator delete[](void *p) noexcept
-{
-    releaseBlock(p);
-}
-
-void
-operator delete[](void *p, std::size_t) noexcept
-{
-    releaseBlock(p);
-}
 
 namespace {
 
@@ -233,33 +173,21 @@ churnScenario(Queue &eq, std::uint64_t events)
     eq.run();
 }
 
-// ----- measurement + JSON row collection ----------------------------
+// ----- measurement --------------------------------------------------
 
-struct Row
-{
-    std::string scenario;
-    std::string engine;
-    std::uint64_t events = 0;
-    double seconds = 0;
-    double eventsPerSec = 0;
-    double nsPerEvent = 0;
-};
+sim::Report report("engine");
 
-std::map<std::string, Row> &
-rows()
-{
-    static std::map<std::string, Row> r;
-    return r;
-}
-
+/** Best of three runs of @p body on a fresh @p Queue, recorded as the
+ *  row "<scenario>/<engine>". */
 template <typename Queue, typename Scenario>
-Row
+void
 measure(const std::string &scenario, const std::string &engine,
         Scenario &&body, std::uint64_t events)
 {
     // Best of three: shave scheduler noise off both engines the same
     // way.
-    Row row;
+    double best = 0;
+    std::uint64_t executed = 0;
     for (int rep = 0; rep < 3; ++rep) {
         Queue eq;
         const auto t0 = std::chrono::steady_clock::now();
@@ -267,19 +195,28 @@ measure(const std::string &scenario, const std::string &engine,
         const auto t1 = std::chrono::steady_clock::now();
         const double secs =
             std::chrono::duration<double>(t1 - t0).count();
-        if (rep == 0 || secs < row.seconds) {
-            row.scenario = scenario;
-            row.engine = engine;
-            row.events = eq.executedCount();
-            row.seconds = secs;
-            row.eventsPerSec =
-                static_cast<double>(row.events) / secs;
-            row.nsPerEvent =
-                secs * 1e9 / static_cast<double>(row.events);
+        if (rep == 0 || secs < best) {
+            best = secs;
+            executed = eq.executedCount();
         }
     }
-    rows()[scenario + "/" + engine] = row;
-    return row;
+    const double n = static_cast<double>(executed);
+    report.record(scenario + "/" + engine,
+                  {{"scenario", scenario}, {"engine", engine}})
+        .metrics = {{"events", n},
+                    {"seconds", best},
+                    {"events_per_sec", n / best},
+                    {"ns_per_event", best * 1e9 / n}};
+}
+
+double
+speedup(const std::string &scenario)
+{
+    auto rate = [&](const char *engine) {
+        return report.find(scenario + "/" + engine)
+            ->metrics.at("events_per_sec");
+    };
+    return rate("wheel") / rate("seed");
 }
 
 /** Steady-state allocation probe: warm the pool, then demand zero
@@ -303,7 +240,7 @@ struct SteadyProbe
             // Pool, wheel and due-heap capacities are warm; every
             // allocation from here on is a regression.
             measuring = true;
-            baseline = g_newCalls;
+            baseline = testutil::allocCounts.calls;
         }
         eq.scheduleIn(70 * ns, [this] { fire(); },
                       EventPriority::hardware);
@@ -320,19 +257,19 @@ steadyStateAllocs(std::uint64_t events)
         eq.scheduleIn((i + 1) * 10 * ns, [&probe] { probe.fire(); },
                       EventPriority::hardware);
     eq.run();
-    return g_newCalls - probe.baseline;
+    return testutil::allocCounts.calls - probe.baseline;
 }
 
 // ----- google-benchmark wrappers (console exploration) --------------
 
-template <typename Queue, typename Scenario>
+template <typename Queue, void (*Scenario)(Queue &, std::uint64_t)>
 void
-runBench(benchmark::State &state, Scenario &&body)
+runBench(benchmark::State &state)
 {
     std::uint64_t events = 0;
     for (auto _ : state) {
         Queue eq;
-        body(eq, static_cast<std::uint64_t>(state.range(0)));
+        Scenario(eq, static_cast<std::uint64_t>(state.range(0)));
         events += eq.executedCount();
     }
     state.SetItemsProcessed(static_cast<std::int64_t>(events));
@@ -340,97 +277,18 @@ runBench(benchmark::State &state, Scenario &&body)
         static_cast<double>(events), benchmark::Counter::kIsRate);
 }
 
-void
-BM_Pipeline_Wheel(benchmark::State &state)
-{
-    runBench<sim::EventQueue>(state, [](auto &eq, std::uint64_t n) {
-        pipelineScenario(eq, n);
-    });
-}
-
-void
-BM_Pipeline_Seed(benchmark::State &state)
-{
-    runBench<LegacyEventQueue>(state, [](auto &eq, std::uint64_t n) {
-        pipelineScenario(eq, n);
-    });
-}
-
-void
-BM_Mesh_Wheel(benchmark::State &state)
-{
-    runBench<sim::EventQueue>(state, [](auto &eq, std::uint64_t n) {
-        meshScenario(eq, n);
-    });
-}
-
-void
-BM_Mesh_Seed(benchmark::State &state)
-{
-    runBench<LegacyEventQueue>(state, [](auto &eq, std::uint64_t n) {
-        meshScenario(eq, n);
-    });
-}
-
-void
-BM_TimerChurn_Wheel(benchmark::State &state)
-{
-    runBench<sim::EventQueue>(state, [](auto &eq, std::uint64_t n) {
-        churnScenario(eq, n);
-    });
-}
-
-void
-BM_TimerChurn_Seed(benchmark::State &state)
-{
-    runBench<LegacyEventQueue>(state, [](auto &eq, std::uint64_t n) {
-        churnScenario(eq, n);
-    });
-}
-
-BENCHMARK(BM_Pipeline_Wheel)->Arg(200000);
-BENCHMARK(BM_Pipeline_Seed)->Arg(200000);
-BENCHMARK(BM_Mesh_Wheel)->Arg(200000);
-BENCHMARK(BM_Mesh_Seed)->Arg(200000);
-BENCHMARK(BM_TimerChurn_Wheel)->Arg(100000);
-BENCHMARK(BM_TimerChurn_Seed)->Arg(100000);
-
-// ----- JSON ---------------------------------------------------------
-
-double
-speedup(const std::string &scenario)
-{
-    const Row &wheel = rows().at(scenario + "/wheel");
-    const Row &seed = rows().at(scenario + "/seed");
-    return wheel.eventsPerSec / seed.eventsPerSec;
-}
-
-void
-writeJson(const std::string &file, std::uint64_t steadyAllocs,
-          std::uint64_t fnHeapAllocs)
-{
-    std::ofstream out(file);
-    out << "{\n  \"bench\": \"engine\",\n";
-    out << "  \"steady_state_heap_allocs_per_1M_events\": "
-        << steadyAllocs << ",\n";
-    out << "  \"eventfn_heap_allocs\": " << fnHeapAllocs << ",\n";
-    for (const char *s : {"pipeline", "mesh", "churn"})
-        out << "  \"speedup_" << s << "\": " << speedup(s) << ",\n";
-    out << "  \"rows\": [\n";
-    bool first = true;
-    for (const auto &[key, row] : rows()) {
-        if (!first)
-            out << ",\n";
-        first = false;
-        out << "    {\"scenario\": \"" << row.scenario
-            << "\", \"engine\": \"" << row.engine
-            << "\", \"events\": " << row.events
-            << ", \"seconds\": " << row.seconds
-            << ", \"events_per_sec\": " << row.eventsPerSec
-            << ", \"ns_per_event\": " << row.nsPerEvent << "}";
-    }
-    out << "\n  ]\n}\n";
-}
+BENCHMARK_TEMPLATE2(runBench, sim::EventQueue, pipelineScenario)
+    ->Name("BM_Pipeline_Wheel")->Arg(200000);
+BENCHMARK_TEMPLATE2(runBench, LegacyEventQueue, pipelineScenario)
+    ->Name("BM_Pipeline_Seed")->Arg(200000);
+BENCHMARK_TEMPLATE2(runBench, sim::EventQueue, meshScenario)
+    ->Name("BM_Mesh_Wheel")->Arg(200000);
+BENCHMARK_TEMPLATE2(runBench, LegacyEventQueue, meshScenario)
+    ->Name("BM_Mesh_Seed")->Arg(200000);
+BENCHMARK_TEMPLATE2(runBench, sim::EventQueue, churnScenario)
+    ->Name("BM_TimerChurn_Wheel")->Arg(100000);
+BENCHMARK_TEMPLATE2(runBench, LegacyEventQueue, churnScenario)
+    ->Name("BM_TimerChurn_Seed")->Arg(100000);
 
 } // namespace
 
@@ -465,7 +323,13 @@ main(int argc, char **argv)
     const std::uint64_t steadyAllocs = steadyStateAllocs(2'000'000);
     const std::uint64_t fnHeapAllocs =
         sim::EventFn::heapAllocCount() - fnHeapBefore;
-    writeJson("BENCH_engine.json", steadyAllocs, fnHeapAllocs);
+    report.setValue("steady_state_heap_allocs_per_1M_events",
+                    static_cast<double>(steadyAllocs));
+    report.setValue("eventfn_heap_allocs",
+                    static_cast<double>(fnHeapAllocs));
+    for (const char *s : {"pipeline", "mesh", "churn"})
+        report.setValue(std::string("speedup_") + s, speedup(s));
+    const bool wrote = report.write("BENCH_engine.json");
 
     const double pipe = speedup("pipeline");
     const double churn = speedup("churn");
@@ -484,5 +348,5 @@ main(int argc, char **argv)
                      static_cast<unsigned long long>(fnHeapAllocs));
         return 1;
     }
-    return 0;
+    return wrote ? 0 : 1;
 }

@@ -13,7 +13,8 @@
  *        fabric vs the same group on one HUB (simulated latency —
  *        what the fabric's extra trunk hops actually cost).
  *
- * Every row lands in BENCH_fabric.json for downstream tooling.
+ * Every row lands in BENCH_fabric.json (sim::Report) with the same
+ * user counters the console prints, for downstream tooling.
  */
 
 // nectar-lint-file: wallclock-ok this harness measures real compile
@@ -23,13 +24,12 @@
 
 #include <algorithm>
 #include <chrono>
-#include <fstream>
-#include <map>
 #include <memory>
 #include <string>
 #include <vector>
 
 #include "nectarine/nectarine.hh"
+#include "sim/report.hh"
 #include "topo/description.hh"
 #include "topo/route_table.hh"
 #include "topo/topofile.hh"
@@ -44,26 +44,15 @@ using namespace nectar::topo;
 
 namespace {
 
-// ----- JSON row collection ------------------------------------------
+sim::Report report("fabric");
 
-struct Row
-{
-    std::string op;
-    std::string fabric;
-    std::map<std::string, double> metrics;
-};
-
-std::map<std::string, Row> &
-rows()
-{
-    static std::map<std::string, Row> r;
-    return r;
-}
-
+/** Record one benchmark's user counters as the row "<op>/<fabric>". */
 void
-record(Row row)
+recordRun(const benchmark::State &state, const std::string &op,
+          const std::string &fabric)
 {
-    rows()[row.op + "/" + row.fabric] = std::move(row);
+    report.record(op + "/" + fabric, {{"op", op}, {"fabric", fabric}})
+        .metricsFrom(state.counters);
 }
 
 TopologyDescription
@@ -149,14 +138,9 @@ F1_RouteCompile(benchmark::State &state, const std::string &kind)
                              t = RouteTable::compile(g)); });
     state.counters["hubs"] = g.numHubs();
     state.counters["links"] = g.numLinks();
-    state.counters["restricted"] = t.restrictedSources();
+    state.counters["restricted_sources"] = t.restrictedSources();
     state.counters["compile_us"] = usPerCompile;
-    Row row{"route_compile", kind + std::to_string(g.numHubs()), {}};
-    row.metrics["hubs"] = g.numHubs();
-    row.metrics["links"] = g.numLinks();
-    row.metrics["restricted_sources"] = t.restrictedSources();
-    row.metrics["compile_us"] = usPerCompile;
-    record(std::move(row));
+    recordRun(state, "route_compile", kind + std::to_string(g.numHubs()));
 }
 BENCHMARK_CAPTURE(F1_RouteCompile, mesh, "mesh")
     ->Arg(2)->Arg(4)->Arg(8)->ArgName("n");
@@ -199,9 +183,7 @@ F2_RouteLookup(benchmark::State &state)
         });
     state.counters["hubs"] = 16;
     state.counters["ns_per_route"] = nsPerRoute;
-    Row row{"route_lookup", table ? "table" : "bfs", {}};
-    row.metrics["ns_per_route"] = nsPerRoute;
-    record(std::move(row));
+    recordRun(state, "route_lookup", table ? "table" : "bfs");
 }
 BENCHMARK(F2_RouteLookup)
     ->Arg(0)->Arg(1)->ArgName("legacy");
@@ -252,43 +234,10 @@ F3_FabricAllreduce(benchmark::State &state)
         static_cast<double>(rep.lastFinish) / 2 /* rounds */ / 1e3;
     state.counters["latency_us"] = perOpUs;
     state.counters["ok_members"] = rep.okMembers;
-    Row row{"allreduce32", fabric ? "fabric16" : "single_hub", {}};
-    row.metrics["latency_us"] = perOpUs;
-    row.metrics["ok_members"] = rep.okMembers;
-    record(std::move(row));
+    recordRun(state, "allreduce32", fabric ? "fabric16" : "single_hub");
 }
 BENCHMARK(F3_FabricAllreduce)
     ->Arg(0)->Arg(1)->ArgName("fabric");
-
-// ----- JSON output --------------------------------------------------
-
-void
-writeJson(const std::string &file)
-{
-    // Acceptance summary: the fabric allreduce completes with every
-    // member ok whenever both variants ran.
-    bool fabricOk = true;
-    auto it = rows().find("allreduce32/fabric16");
-    if (it != rows().end())
-        fabricOk = it->second.metrics.at("ok_members") == 32;
-    std::ofstream out(file);
-    out << "{\n  \"bench\": \"fabric\",\n";
-    out << "  \"fabric_allreduce_all_ok\": "
-        << (fabricOk ? "true" : "false") << ",\n";
-    out << "  \"rows\": [\n";
-    bool first = true;
-    for (const auto &[key, row] : rows()) {
-        if (!first)
-            out << ",\n";
-        first = false;
-        out << "    {\"op\": \"" << row.op << "\", \"fabric\": \""
-            << row.fabric << "\"";
-        for (const auto &[k, v] : row.metrics)
-            out << ", \"" << k << "\": " << v;
-        out << "}";
-    }
-    out << "\n  ]\n}\n";
-}
 
 } // namespace
 
@@ -300,6 +249,11 @@ main(int argc, char **argv)
         return 1;
     benchmark::RunSpecifiedBenchmarks();
     benchmark::Shutdown();
-    writeJson("BENCH_fabric.json");
-    return 0;
+
+    // Acceptance summary: the fabric allreduce completes with every
+    // member ok whenever it ran.
+    const auto *f3 = report.find("allreduce32/fabric16");
+    report.setFlag("fabric_allreduce_all_ok",
+                   !f3 || f3->metrics.at("ok_members") == 32);
+    return report.write("BENCH_fabric.json") ? 0 : 1;
 }

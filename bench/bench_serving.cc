@@ -14,14 +14,14 @@
  *        requests, not population size,
  *  - SMOKE: a tiny two-rung ladder per fabric for the tier-1 gate.
  *
- * Every sweep lands in BENCH_serving.json; main() exits nonzero when
- * a recorded sweep failed to locate its knee (the acceptance gate).
+ * Every S1 and SMOKE sweep lands in BENCH_serving.json, one row per
+ * step (serving::writeServingJson); main() exits nonzero when a
+ * recorded sweep failed to locate its knee (the acceptance gate).
  */
 
 #include <benchmark/benchmark.h>
 
 #include <cstdio>
-#include <fstream>
 #include <map>
 #include <memory>
 #include <string>
@@ -41,19 +41,8 @@ namespace {
 
 // ----- result collection --------------------------------------------
 
-std::map<std::string, SweepResult> &
-sweeps()
-{
-    static std::map<std::string, SweepResult> s;
-    return s;
-}
-
-bool &
-boundedMemoryOk()
-{
-    static bool ok = true;
-    return ok;
-}
+std::map<std::string, SweepResult> sweeps;
+bool boundedMemoryOk = true;
 
 SystemBuilder
 builderFor(bool fabric)
@@ -121,7 +110,7 @@ runSweepBench(benchmark::State &state, bool fabric, bool smoke)
     state.counters["knee_rps"] = result.kneeRps;
     state.counters["p99_us_last"] = last.report.p99Ns / 1e3;
     state.counters["goodput_MBs_last"] = last.report.goodputMBs;
-    sweeps()[(smoke ? "smoke/" : "full/") + cfg.fabric] =
+    sweeps[(smoke ? "smoke/" : "full/") + cfg.fabric] =
         std::move(result);
 }
 
@@ -211,7 +200,7 @@ S3_MillionFlows(benchmark::State &state)
                      static_cast<unsigned long long>(
                          rep.peakFlowTable),
                      static_cast<unsigned long long>(bound));
-        boundedMemoryOk() = false;
+        boundedMemoryOk = false;
     }
 }
 BENCHMARK(S3_MillionFlows)
@@ -222,15 +211,10 @@ BENCHMARK(S3_MillionFlows)
 bool
 writeJsonAndCheck(const std::string &file)
 {
+    bool ok = boundedMemoryOk;
     std::vector<SweepResult> all;
-    all.reserve(sweeps().size());
-    for (const auto &[key, r] : sweeps())
+    for (const auto &[key, r] : sweeps) {
         all.push_back(r);
-    if (!all.empty())
-        writeServingJson(file, all);
-
-    bool ok = boundedMemoryOk();
-    for (const auto &[key, r] : sweeps()) {
         if (r.kneeIndex < 0) {
             std::fprintf(stderr,
                          "bench_serving: no saturation knee in "
@@ -247,6 +231,11 @@ writeJsonAndCheck(const std::string &file)
                 ok = false;
             }
         }
+    }
+    if (!all.empty() && !writeServingJson(file, all)) {
+        std::fprintf(stderr, "bench_serving: cannot write %s\n",
+                     file.c_str());
+        ok = false;
     }
     return ok;
 }

@@ -1,12 +1,12 @@
 #include "fault/planio.hh"
 
-#include <charconv>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
 #include <sstream>
 
 #include "sim/logging.hh"
+#include "sim/parse.hh"
 
 namespace nectar::fault {
 
@@ -54,16 +54,6 @@ parseAction(const std::string &s, Action &out)
         }
     }
     return false;
-}
-
-/** Parse all of @p s as an in-range integer; false on anything else. */
-template <typename Int>
-bool
-parseWhole(const std::string &s, Int &out)
-{
-    const char *end = s.data() + s.size();
-    auto [p, ec] = std::from_chars(s.data(), end, out);
-    return ec == std::errc() && p == end;
 }
 
 /** %.17g: enough digits to round-trip any IEEE-754 double. */
@@ -154,7 +144,7 @@ parsePlan(const std::string &text)
                 std::string key = field.substr(0, eq);
                 std::string val = field.substr(eq + 1);
                 if (key == "at") {
-                    if (!parseWhole(val, e.at))
+                    if (!sim::parseWhole(val, e.at))
                         badLine(lineno, line, "bad at");
                     sawAt = true;
                 } else if (key == "action") {
@@ -162,13 +152,13 @@ parsePlan(const std::string &text)
                         badLine(lineno, line, "unknown action");
                     sawAction = true;
                 } else if (key == "hub") {
-                    if (!parseWhole(val, e.hub))
+                    if (!sim::parseWhole(val, e.hub))
                         badLine(lineno, line, "bad hub");
                 } else if (key == "port") {
-                    if (!parseWhole(val, e.port))
+                    if (!sim::parseWhole(val, e.port))
                         badLine(lineno, line, "bad port");
                 } else if (key == "site") {
-                    if (!parseWhole(val, e.site))
+                    if (!sim::parseWhole(val, e.site))
                         badLine(lineno, line, "bad site");
                 } else if (key == "dir") {
                     if (!parseDir(val, e.dir))

@@ -1,8 +1,9 @@
 #include "sweep.hh"
 
-#include <fstream>
+#include <cstdio>
 
 #include "sim/logging.hh"
+#include "sim/report.hh"
 
 namespace nectar::serving {
 
@@ -61,44 +62,41 @@ runSweep(const SystemBuilder &build, const SweepConfig &cfg)
     return result;
 }
 
-void
+bool
 writeServingJson(const std::string &path,
                  const std::vector<SweepResult> &results)
 {
+    sim::Report report("serving");
     bool kneeAll = !results.empty();
-    for (const SweepResult &r : results)
-        kneeAll = kneeAll && r.kneeIndex >= 0;
-
-    std::ofstream out(path);
-    out << "{\n  \"bench\": \"serving\",\n";
-    out << "  \"knee_found_all\": " << (kneeAll ? "true" : "false")
-        << ",\n";
-    out << "  \"sweeps\": [\n";
     for (std::size_t s = 0; s < results.size(); ++s) {
         const SweepResult &r = results[s];
-        out << "    {\"fabric\": \"" << r.fabric
-            << "\", \"arrival\": \"" << arrivalName(r.arrival)
-            << "\", \"knee_index\": " << r.kneeIndex
-            << ", \"knee_rps\": " << r.kneeRps << ",\n";
-        out << "     \"steps\": [\n";
+        kneeAll = kneeAll && r.kneeIndex >= 0;
         for (std::size_t i = 0; i < r.steps.size(); ++i) {
             const SweepStep &st = r.steps[i];
             const ServingReport &rep = st.report;
-            out << "       {\"offered_rps\": " << st.offeredRps
-                << ", \"achieved_rps\": " << rep.achievedRps
-                << ", \"goodput_MBs\": " << rep.goodputMBs
-                << ", \"p50_us\": " << rep.p50Ns / 1e3
-                << ", \"p99_us\": " << rep.p99Ns / 1e3
-                << ", \"p999_us\": " << rep.p999Ns / 1e3
-                << ", \"completed\": " << rep.completed
-                << ", \"failed\": " << rep.failed
-                << ", \"shed\": " << rep.shed << "}"
-                << (i + 1 < r.steps.size() ? "," : "") << "\n";
+            char key[48];
+            std::snprintf(key, sizeof key, "%06zu/%06zu", s, i);
+            auto &row = report.record(
+                key, {{"fabric", r.fabric},
+                      {"arrival", arrivalName(r.arrival)}});
+            row.metrics = {
+                {"sweep", s},
+                {"step", i},
+                {"knee", static_cast<int>(i) == r.kneeIndex},
+                {"offered_rps", st.offeredRps},
+                {"achieved_rps", rep.achievedRps},
+                {"goodput_MBs", rep.goodputMBs},
+                {"p50_us", rep.p50Ns / 1e3},
+                {"p99_us", rep.p99Ns / 1e3},
+                {"p999_us", rep.p999Ns / 1e3},
+                {"completed", rep.completed},
+                {"failed", rep.failed},
+                {"shed", rep.shed},
+            };
         }
-        out << "     ]}" << (s + 1 < results.size() ? "," : "")
-            << "\n";
     }
-    out << "  ]\n}\n";
+    report.setFlag("knee_found_all", kneeAll);
+    return report.write(path);
 }
 
 } // namespace nectar::serving

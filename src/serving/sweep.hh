@@ -84,11 +84,16 @@ SweepResult runSweep(const SystemBuilder &build,
                      const SweepConfig &cfg);
 
 /**
- * Write @p results as BENCH_serving-style JSON: a top-level
- * "knee_found_all" flag plus one sweep object per result with its
- * per-step latency/goodput table.
+ * Write @p results as BENCH_serving-style JSON (sim::Report): a
+ * top-level "knee_found_all" flag plus one row per sweep step, in
+ * order.  A row names its sweep's fabric and arrival process, numbers
+ * the sweep (its index in @p results) and the step, marks the knee
+ * step with knee = 1, and carries the step's load, latency and
+ * outcome counts.
+ *
+ * @return False if the file could not be written.
  */
-void writeServingJson(const std::string &path,
+bool writeServingJson(const std::string &path,
                       const std::vector<SweepResult> &results);
 
 } // namespace nectar::serving

@@ -2,74 +2,20 @@
  * @file
  * Build-footprint gates: the heap a CAB and a 64-HUB fabric cost to
  * construct.  Bytes are counted exactly, through the replaced global
- * operator new below, so the gates are deterministic: no RSS, no
- * wall-clock.
+ * operator new in helpers/alloc_counter.hh, so the gates are
+ * deterministic: no RSS, no wall-clock.
  */
 
 #include <gtest/gtest.h>
 
 #include <cstdint>
-#include <cstdlib>
 #include <memory>
-#include <new>
 #include <string>
 
 #include "cab/cab.hh"
+#include "helpers/alloc_counter.hh"
 #include "nectarine/system.hh"
 #include "topo/description.hh"
-
-// ----- global allocation counter ------------------------------------
-
-namespace {
-std::uint64_t g_newBytes = 0;
-
-// Kept out of line so GCC does not see free() applied to a pointer
-// from operator new (-Wmismatched-new-delete); see bench_engine.cc.
-[[gnu::noinline]] void
-releaseBlock(void *p) noexcept
-{
-    std::free(p);
-}
-} // namespace
-
-void *
-operator new(std::size_t n)
-{
-    g_newBytes += n;
-    if (void *p = std::malloc(n == 0 ? 1 : n))
-        return p;
-    throw std::bad_alloc();
-}
-
-void *
-operator new[](std::size_t n)
-{
-    return ::operator new(n);
-}
-
-void
-operator delete(void *p) noexcept
-{
-    releaseBlock(p);
-}
-
-void
-operator delete(void *p, std::size_t) noexcept
-{
-    releaseBlock(p);
-}
-
-void
-operator delete[](void *p) noexcept
-{
-    releaseBlock(p);
-}
-
-void
-operator delete[](void *p, std::size_t) noexcept
-{
-    releaseBlock(p);
-}
 
 namespace {
 
@@ -83,9 +29,9 @@ template <typename F>
 std::uint64_t
 bytesAllocatedBy(F &&build)
 {
-    const std::uint64_t before = g_newBytes;
+    const std::uint64_t before = testutil::allocCounts.bytes;
     build();
-    return g_newBytes - before;
+    return testutil::allocCounts.bytes - before;
 }
 
 TEST(Footprint, IdleCabAllocatesAtMost64KiB)

@@ -24,12 +24,11 @@
  * the ledgered traffic and the drain.
  *
  * Exit status: 0 when every seed passed, 1 on any oracle failure,
- * 2 on usage errors.
+ * 2 on usage errors (a numeric flag must parse whole).
  */
 
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <filesystem>
 #include <string>
 #include <vector>
@@ -38,6 +37,7 @@
 #include "fault/generate.hh"
 #include "fault/planio.hh"
 #include "fault/shrink.hh"
+#include "sim/parse.hh"
 
 using namespace nectar;
 
@@ -78,14 +78,22 @@ parseArgs(int argc, char **argv)
                 usage(argv[0]);
             return argv[++i];
         };
+        auto number = [&](auto &out) {
+            const char *text = value();
+            if (!sim::parseWhole(text, out)) {
+                std::fprintf(stderr, "%s: bad value for %s: '%s'\n",
+                             argv[0], a.c_str(), text);
+                std::exit(2);
+            }
+        };
         if (a == "--seeds")
-            opt.seeds = std::atoi(value());
+            number(opt.seeds);
         else if (a == "--seed0")
-            opt.seed0 = std::strtoull(value(), nullptr, 10);
+            number(opt.seed0);
         else if (a == "--out")
             opt.outDir = value();
         else if (a == "--intensity")
-            opt.intensity = std::atof(value());
+            number(opt.intensity);
         else if (a == "--inject-bug")
             opt.injectBug = true;
         else if (a == "--replay")
@@ -93,7 +101,7 @@ parseArgs(int argc, char **argv)
         else if (a == "--fabric")
             opt.fabric = value();
         else if (a == "--serving")
-            opt.serving = std::atoi(value());
+            number(opt.serving);
         else
             usage(argv[0]);
     }

@@ -6,7 +6,8 @@
  * Steps offered load up a geometric ladder on a chosen fabric, runs
  * the open-loop RPC workload at each rung, prints the per-step
  * latency/goodput table, locates the saturation knee, and writes the
- * whole curve to a JSON file (BENCH_serving.json schema).
+ * whole curve to a JSON file (BENCH_serving.json schema; default
+ * serving_sweep.json).
  *
  * Usage:
  *   serving_sweep [--fabric single|FILE.topo] [--cabs N]
@@ -16,16 +17,17 @@
  *                 [--out FILE.json]
  *
  * Exit status: 0 when the knee was located, 1 when the ladder never
- * saturated (raise --steps or --growth), 2 on usage errors.
+ * saturated (raise --steps or --growth) or the JSON could not be
+ * written, 2 on usage errors (a numeric flag must parse whole).
  */
 
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <string>
 
 #include "serving/serving.hh"
 #include "serving/sweep.hh"
+#include "sim/parse.hh"
 
 using namespace nectar;
 using namespace nectar::serving;
@@ -44,7 +46,9 @@ struct Options
     double durationMs = 10;
     double computeUs = 20;
     std::uint64_t seed = 42;
-    std::string out = "BENCH_serving.json";
+    // Not BENCH_serving.json: a run from the repo root must not
+    // overwrite the committed bench_serving result.
+    std::string out = "serving_sweep.json";
 };
 
 [[noreturn]] void
@@ -73,26 +77,34 @@ parseArgs(int argc, char **argv)
                 usage(argv[0]);
             return argv[++i];
         };
+        auto number = [&](auto &out) {
+            const char *text = value();
+            if (!sim::parseWhole(text, out)) {
+                std::fprintf(stderr, "%s: bad value for %s: '%s'\n",
+                             argv[0], a.c_str(), text);
+                std::exit(2);
+            }
+        };
         if (a == "--fabric")
             opt.fabric = value();
         else if (a == "--cabs")
-            opt.cabs = std::atoi(value());
+            number(opt.cabs);
         else if (a == "--arrival")
             opt.arrival = value();
         else if (a == "--flows")
-            opt.flows = std::strtoull(value(), nullptr, 10);
+            number(opt.flows);
         else if (a == "--start")
-            opt.startRps = std::atof(value());
+            number(opt.startRps);
         else if (a == "--growth")
-            opt.growth = std::atof(value());
+            number(opt.growth);
         else if (a == "--steps")
-            opt.steps = std::atoi(value());
+            number(opt.steps);
         else if (a == "--duration-ms")
-            opt.durationMs = std::atof(value());
+            number(opt.durationMs);
         else if (a == "--compute-us")
-            opt.computeUs = std::atof(value());
+            number(opt.computeUs);
         else if (a == "--seed")
-            opt.seed = std::strtoull(value(), nullptr, 10);
+            number(opt.seed);
         else if (a == "--out")
             opt.out = value();
         else
@@ -180,7 +192,10 @@ main(int argc, char **argv)
         std::printf("no saturation knee found; raise --steps or "
                     "--growth\n");
 
-    writeServingJson(opt.out, {result});
+    if (!writeServingJson(opt.out, {result})) {
+        std::fprintf(stderr, "cannot write %s\n", opt.out.c_str());
+        return 1;
+    }
     std::printf("wrote %s\n", opt.out.c_str());
     return result.kneeIndex >= 0 ? 0 : 1;
 }
