@@ -42,7 +42,59 @@ applyLane(ReduceOp op, std::uint32_t a, std::uint32_t b)
     return a;
 }
 
+std::uint32_t
+loadLane(const std::uint8_t *p)
+{
+    return (static_cast<std::uint32_t>(p[0]) << 24) |
+           (static_cast<std::uint32_t>(p[1]) << 16) |
+           (static_cast<std::uint32_t>(p[2]) << 8) |
+           static_cast<std::uint32_t>(p[3]);
+}
+
+void
+storeLane(std::uint8_t *p, std::uint32_t v)
+{
+    p[0] = static_cast<std::uint8_t>(v >> 24);
+    p[1] = static_cast<std::uint8_t>(v >> 16);
+    p[2] = static_cast<std::uint8_t>(v >> 8);
+    p[3] = static_cast<std::uint8_t>(v);
+}
+
 } // namespace
+
+void
+foldLanes(std::vector<std::uint8_t> &acc, const sim::PacketView &in,
+          ReduceOp op)
+{
+    std::uint8_t *out = acc.data();
+    const std::size_t whole = in.size() - in.size() % 4;
+    std::size_t pos = 0;
+    std::uint32_t lane = 0;
+    // One byte at a time: a byte of a lane that straddles a segment
+    // boundary, or a trailing byte past the last whole lane.
+    auto step = [&](std::uint8_t b) {
+        if (pos >= whole) {
+            out[pos] =
+                static_cast<std::uint8_t>(applyLane(op, out[pos], b));
+        } else {
+            lane = (lane << 8) | b;
+            if (pos % 4 == 3)
+                storeLane(out + pos - 3,
+                          applyLane(op, loadLane(out + pos - 3), lane));
+        }
+        ++pos;
+    };
+    in.forEachSegment([&](const std::uint8_t *p, std::size_t n) {
+        for (; n > 0 && pos % 4 != 0; --n)
+            step(*p++);
+        // Lane-aligned here, so pos < whole leaves a whole lane.
+        for (; n >= 4 && pos < whole; n -= 4, p += 4, pos += 4)
+            storeLane(out + pos, applyLane(op, loadLane(out + pos),
+                                           loadLane(p)));
+        for (; n > 0; --n)
+            step(*p++);
+    });
+}
 
 Communicator::Communicator(nectarine::TaskContext &ctx,
                            GroupDirectory &groups, GroupId gid,
@@ -242,38 +294,8 @@ Communicator::combineInto(std::vector<std::uint8_t> &acc,
         sim::fatal("Communicator: reduce payload size mismatch (" +
                    std::to_string(in.size()) + " vs " +
                    std::to_string(acc.size()) + ")");
-    // Stream the incoming segments; whole 32-bit big-endian lanes
-    // combine with op, trailing bytes (size % 4) combine byte-wise.
-    std::size_t pos = 0;
-    std::uint32_t lane = 0;
-    int have = 0;
-    in.forEachSegment([&](const std::uint8_t *p, std::size_t n) {
-        for (std::size_t k = 0; k < n; ++k) {
-            lane = (lane << 8) | p[k];
-            ++pos;
-            if (++have == 4) {
-                std::size_t at = pos - 4;
-                std::uint32_t mine =
-                    (static_cast<std::uint32_t>(acc[at]) << 24) |
-                    (static_cast<std::uint32_t>(acc[at + 1]) << 16) |
-                    (static_cast<std::uint32_t>(acc[at + 2]) << 8) |
-                    static_cast<std::uint32_t>(acc[at + 3]);
-                std::uint32_t v = applyLane(op, mine, lane);
-                acc[at] = static_cast<std::uint8_t>(v >> 24);
-                acc[at + 1] = static_cast<std::uint8_t>(v >> 16);
-                acc[at + 2] = static_cast<std::uint8_t>(v >> 8);
-                acc[at + 3] = static_cast<std::uint8_t>(v);
-                have = 0;
-                lane = 0;
-            }
-        }
-    });
-    for (int i = have; i > 0; --i) {
-        std::size_t at = pos - static_cast<std::size_t>(i);
-        auto inb = static_cast<std::uint8_t>(lane >> ((i - 1) * 8));
-        acc[at] = static_cast<std::uint8_t>(
-            applyLane(op, acc[at], inb));
-    }
+    // Stream the incoming segments (no materialization).
+    foldLanes(acc, in, op);
     // The SPARC touches both operands and writes the result: charge
     // the CPU the per-byte software cost and the memory system the
     // traffic.

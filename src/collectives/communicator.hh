@@ -47,6 +47,18 @@ enum class ReduceOp : std::uint8_t {
     max, ///< Unsigned maximum.
 };
 
+/**
+ * The host-side reduction kernel: fold @p in into @p acc (same size)
+ * with @p op.  Whole 32-bit big-endian lanes combine a lane at a
+ * time, straight out of each of the view's segments; a lane that
+ * straddles a segment boundary is carried across it; the trailing
+ * size % 4 bytes past the last whole lane combine byte-wise (sum
+ * wraps mod 2^8).  Pure arithmetic: the simulated cost is charged by
+ * the caller.
+ */
+void foldLanes(std::vector<std::uint8_t> &acc, const sim::PacketView &in,
+               ReduceOp op);
+
 /** Why a collective operation failed. */
 enum class CollectiveError : std::uint8_t {
     none = 0,

@@ -40,7 +40,9 @@ class EventFn
      * Captures up to this many bytes are stored inline in the event
      * node; beyond it the callable is heap-allocated (and counted).
      * 48 bytes = a this-pointer plus five 64-bit words — roomy enough
-     * for every schedule site in the tree today.
+     * for most schedule sites.  FiberLink::deliver's capture (a
+     * WireItem and two ticks, 88 bytes) is the known exception;
+     * test_footprint bounds its fallbacks per round trip.
      */
     static constexpr std::size_t sboBytes = 48;
 

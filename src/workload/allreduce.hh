@@ -72,11 +72,23 @@ class AllreduceWorkload
     static std::vector<std::uint8_t>
     memberData(const Config &cfg, int r, int t);
 
-    /** Host-computed reduction of all members' round-@p t vectors. */
+    /** Host-computed reduction of all members' round-@p t vectors.
+     *  Folds byte-assembled lanes itself rather than calling
+     *  collective::foldLanes, so the check stays independent of the
+     *  code it checks. */
     static std::vector<std::uint8_t>
     expectedData(const Config &cfg, int t);
 
   private:
+    /**
+     * expectedData(cfg, @p t) from a one-round cache: the first
+     * member to check round t computes it, the rest reuse it.  No
+     * member can finish round t+1 before every member has checked
+     * round t (each round needs every member's vector), so one slot
+     * serves a whole run; a miss recomputes it.
+     */
+    const std::vector<std::uint8_t> &expectedFor(int t);
+
     /**
      * One member task's outcome.  Each task writes only its own slot;
      * report() folds the slots after the run.
@@ -96,6 +108,8 @@ class AllreduceWorkload
         std::make_shared<collective::GroupId>(0);
     std::shared_ptr<std::vector<MemberResult>> _slots =
         std::make_shared<std::vector<MemberResult>>();
+    int refRound = -1;             ///< Round held in ref (-1: none).
+    std::vector<std::uint8_t> ref; ///< expectedData(cfg, refRound).
 };
 
 } // namespace nectar::workload

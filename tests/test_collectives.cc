@@ -3,14 +3,15 @@
  * Collectives subsystem tests: groups and epochs, reliable multicast
  * over the HUB hardware tree and its unicast fallback, tree
  * collectives (broadcast/reduce/allreduce/gather/barrier) across
- * group sizes, determinism, zero-copy, and failure semantics under a
- * chaos plan.
+ * group sizes, the host-side lane kernel, determinism, zero-copy, and
+ * failure semantics under a chaos plan.
  */
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <functional>
+#include <iterator>
 #include <memory>
 #include <string>
 #include <vector>
@@ -21,6 +22,7 @@
 #include "fault/plan.hh"
 #include "nectarine/nectarine.hh"
 #include "sim/logging.hh"
+#include "sim/random.hh"
 #include "workload/allreduce.hh"
 
 using namespace nectar;
@@ -89,6 +91,76 @@ pattern(std::uint32_t bytes, std::uint8_t seed)
     for (std::size_t j = 0; j < v.size(); ++j)
         v[j] = static_cast<std::uint8_t>(seed + j * 7);
     return v;
+}
+
+std::vector<std::uint8_t>
+randomBytes(sim::Random &rng, std::size_t n)
+{
+    std::vector<std::uint8_t> v(n);
+    for (auto &b : v)
+        b = static_cast<std::uint8_t>(rng.next());
+    return v;
+}
+
+/**
+ * Host reference for the lane kernel, assembled byte by byte: @p acc
+ * folded with @p in over whole big-endian 32-bit lanes, then the
+ * size % 4 trailing bytes one at a time (sum wraps mod 2^8).
+ */
+std::vector<std::uint8_t>
+foldReference(std::vector<std::uint8_t> acc,
+              const std::vector<std::uint8_t> &in, ReduceOp op)
+{
+    auto combine = [op](std::uint32_t a, std::uint32_t b) {
+        switch (op) {
+        case ReduceOp::sum: return a + b;
+        case ReduceOp::min: return std::min(a, b);
+        case ReduceOp::max: return std::max(a, b);
+        }
+        return a;
+    };
+    const std::size_t whole = acc.size() - acc.size() % 4;
+    for (std::size_t at = 0; at < whole; at += 4) {
+        std::uint32_t a = 0, b = 0;
+        for (std::size_t k = 0; k < 4; ++k) {
+            a = (a << 8) | acc[at + k];
+            b = (b << 8) | in[at + k];
+        }
+        const std::uint32_t v = combine(a, b);
+        for (std::size_t k = 0; k < 4; ++k)
+            acc[at + k] = static_cast<std::uint8_t>(v >> (24 - 8 * k));
+    }
+    for (std::size_t at = whole; at < acc.size(); ++at)
+        acc[at] = static_cast<std::uint8_t>(combine(acc[at], in[at]));
+    return acc;
+}
+
+/**
+ * @p bytes as a view of up to three segments, cut at @p a and
+ * @p a + @p b (empty pieces dropped).  Each piece sits @p a bytes into
+ * a buffer of its own, so no two pieces coalesce and the segments
+ * start at every alignment.
+ */
+sim::PacketView
+splitView(const std::vector<std::uint8_t> &bytes, std::size_t a,
+          std::size_t b)
+{
+    const std::size_t cuts[] = {0, std::min(a, bytes.size()),
+                                std::min(a + b, bytes.size()),
+                                bytes.size()};
+    sim::PacketView view;
+    for (std::size_t i = 0; i + 1 < std::size(cuts); ++i) {
+        if (cuts[i] == cuts[i + 1])
+            continue;
+        std::vector<std::uint8_t> backing(a);
+        backing.insert(backing.end(),
+                       bytes.begin() + static_cast<std::ptrdiff_t>(cuts[i]),
+                       bytes.begin() +
+                           static_cast<std::ptrdiff_t>(cuts[i + 1]));
+        view.append(sim::PacketView(sim::Buffer::make(std::move(backing)),
+                                    a, cuts[i + 1] - cuts[i]));
+    }
+    return view;
 }
 
 workload::AllreduceConfig
@@ -269,19 +341,88 @@ TEST(Collectives, AllreduceAllGroupSizesBothPaths)
     // 256 B exercises recursive doubling; 8 KiB the bandwidth plans
     // (reduce-scatter + allgather on power-of-two groups, reduce +
     // broadcast elsewhere).  Every member must match the host-side
-    // reduction on both fabric paths, which also proves the hardware
-    // and unicast paths produce identical values.
+    // reduction for every op on both fabric paths, which also proves
+    // the hardware and unicast paths produce identical values.
     for (int n : {2, 3, 8, 16}) {
         for (auto path : {McastPath::automatic, McastPath::unicast}) {
             for (std::uint32_t bytes : {256u, 8192u}) {
-                auto rep = runAllreduce(
-                    allreduceCfg(n, bytes, ReduceOp::sum, path));
-                EXPECT_EQ(rep.okMembers, n)
-                    << "n=" << n << " bytes=" << bytes << " path="
-                    << (path == McastPath::unicast ? "uni" : "hw");
-                EXPECT_EQ(rep.wrongMembers, 0);
-                EXPECT_EQ(rep.errorMembers, 0);
-                EXPECT_EQ(rep.finalEpoch, 1u);
+                for (ReduceOp op :
+                     {ReduceOp::sum, ReduceOp::min, ReduceOp::max}) {
+                    auto rep =
+                        runAllreduce(allreduceCfg(n, bytes, op, path));
+                    EXPECT_EQ(rep.okMembers, n)
+                        << "n=" << n << " bytes=" << bytes << " path="
+                        << (path == McastPath::unicast ? "uni" : "hw")
+                        << " op=" << static_cast<int>(op);
+                    EXPECT_EQ(rep.wrongMembers, 0);
+                    EXPECT_EQ(rep.errorMembers, 0);
+                    EXPECT_EQ(rep.finalEpoch, 1u);
+                }
+            }
+        }
+    }
+}
+
+TEST(Collectives, AllreduceOddSizeMatchesHostReduction)
+{
+    // 1023 B (size % 4 == 3) stays on recursive doubling, so every
+    // exchange folds 255 whole lanes and three trailing bytes; five
+    // members add the remainder's fold-in and fan-out steps.
+    // AllreduceWorkload takes whole lanes only, hence the harness.
+    const int n = 5;
+    const std::size_t bytes = 1023;
+    ASSERT_LE(bytes, CommunicatorConfig{}.recursiveDoublingMaxBytes);
+    for (ReduceOp op : {ReduceOp::sum, ReduceOp::min, ReduceOp::max}) {
+        sim::Random rng(static_cast<std::uint64_t>(op) + 11);
+        auto inputs =
+            std::make_shared<std::vector<std::vector<std::uint8_t>>>();
+        for (int r = 0; r < n; ++r)
+            inputs->push_back(randomBytes(rng, bytes));
+        auto want = (*inputs)[0];
+        for (int r = 1; r < n; ++r)
+            want = foldReference(want, (*inputs)[r], op);
+
+        Harness h(n);
+        auto matches = std::make_shared<int>(0);
+        h.start(n, {},
+                [inputs, want, matches, op](
+                    Communicator &comm, TaskContext &) -> Task<void> {
+                    auto data =
+                        (*inputs)[static_cast<std::size_t>(comm.rank())];
+                    auto res = co_await comm.allreduce(op, data);
+                    if (res.ok && data == want)
+                        ++*matches;
+                });
+        h.run();
+        EXPECT_EQ(*matches, n) << "op=" << static_cast<int>(op);
+    }
+}
+
+// ----- Lane kernel --------------------------------------------------
+
+TEST(Collectives, FoldLanesMatchesByteWiseReference)
+{
+    // Every size % 4, every phase of one or two segment cuts against
+    // the lane grid (so lanes straddle one cut or both), all three
+    // ops, random bytes.
+    sim::Random rng(20);
+    for (std::size_t size = 1; size <= 64; ++size) {
+        for (ReduceOp op :
+             {ReduceOp::sum, ReduceOp::min, ReduceOp::max}) {
+            for (std::size_t a = 0; a < 8; ++a) {
+                for (std::size_t b = 0; b < 8; ++b) {
+                    auto acc = randomBytes(rng, size);
+                    const auto in = randomBytes(rng, size);
+                    const auto want = foldReference(acc, in, op);
+                    const sim::PacketView view = splitView(in, a, b);
+                    ASSERT_TRUE(view.equals(in));
+                    collective::foldLanes(acc, view, op);
+                    ASSERT_EQ(acc, want)
+                        << "size=" << size
+                        << " op=" << static_cast<int>(op) << " cuts at "
+                        << a << " and " << a + b << " ("
+                        << view.segmentCount() << " segments)";
+                }
             }
         }
     }

@@ -1,7 +1,8 @@
 /**
  * @file
- * Build-footprint gates: the heap a CAB and a 64-HUB fabric cost to
- * construct.  Bytes are counted exactly, through the replaced global
+ * Footprint gates: the heap a CAB and a 64-HUB fabric cost to
+ * construct, and the heap fallbacks of a message round trip.  Bytes
+ * and calls are counted exactly, through the replaced global
  * operator new in helpers/alloc_counter.hh, so the gates are
  * deterministic: no RSS, no wall-clock.
  */
@@ -15,7 +16,9 @@
 #include "cab/cab.hh"
 #include "helpers/alloc_counter.hh"
 #include "nectarine/system.hh"
+#include "sim/event_fn.hh"
 #include "topo/description.hh"
+#include "workload/probes.hh"
 
 namespace {
 
@@ -55,6 +58,54 @@ TEST(Footprint, Mesh8x8Of13CabHubsAllocatesAtMost64KiBPerCab)
     });
     RecordProperty("bytes", std::to_string(bytes));
     EXPECT_LE(bytes, desc.cabs.size() * cabBudgetBytes);
+}
+
+/** EventFn heap fallbacks and operator new calls during one run. */
+struct RunAllocs
+{
+    std::uint64_t fallbacks = 0;
+    std::uint64_t calls = 0;
+};
+
+/** A ping-pong of @p trips 64 B datagram round trips between the two
+ *  CABs of a single HUB, counted from the first event to the drain. */
+RunAllocs
+pingPongAllocs(int trips)
+{
+    sim::EventQueue eq;
+    auto sys = nectarine::NectarSystem::singleHub(eq, 2);
+    nectarine::Nectarine api(*sys);
+    workload::PingPongConfig cfg;
+    cfg.iterations = trips;
+    cfg.messageBytes = 64;
+    workload::PingPong pp(api, 0, 1, cfg);
+    const RunAllocs before{sim::EventFn::heapAllocCount(),
+                           testutil::allocCounts.calls};
+    eq.run();
+    EXPECT_TRUE(pp.finished());
+    return {sim::EventFn::heapAllocCount() - before.fallbacks,
+            testutil::allocCounts.calls - before.calls};
+}
+
+TEST(Footprint, PingPongRoundTripSpillsAtMost24EventFns)
+{
+    // The message path is not allocation-free: FiberLink::deliver's
+    // capture (a WireItem and two ticks) outgrows EventFn::sboBytes.
+    // This bound lets the count fall, never rise.  Two run lengths
+    // differ by whole round trips only, so their difference is the
+    // steady-state cost, free of start-up and drain.
+    constexpr int extraTrips = 100;
+    const RunAllocs base = pingPongAllocs(100);
+    const RunAllocs more = pingPongAllocs(100 + extraTrips);
+    const std::uint64_t fallbacks = more.fallbacks - base.fallbacks;
+    const std::uint64_t calls = more.calls - base.calls;
+    RecordProperty("eventfn_fallbacks_per_round_trip",
+                   std::to_string(static_cast<double>(fallbacks) /
+                                  extraTrips));
+    RecordProperty("operator_new_calls_per_round_trip",
+                   std::to_string(static_cast<double>(calls) /
+                                  extraTrips));
+    EXPECT_LE(fallbacks, 24u * extraTrips);
 }
 
 } // namespace
