@@ -83,15 +83,6 @@ class Cab : public sim::Component, public phys::FiberSink
     HwTimers &timers() { return _timers; }
     CabStats &stats() { return _stats; }
 
-    /** Tag the board and the hardware it owns (sim/owner.hh). */
-    void
-    setOwnerCluster(sim::ClusterId c) override
-    {
-        sim::Component::setOwnerCluster(c);
-        _cpu.setOwnerCluster(c);
-        _timers.setOwnerCluster(c);
-    }
-
     // ----- Transmit path (DMA controller, Section 5.1) -------------
 
     /** CPU-issued command word (route setup, status queries). */

@@ -29,7 +29,6 @@
 #include "cabos/mailbox.hh"
 #include "sim/component.hh"
 #include "sim/coro.hh"
-#include "sim/owner.hh"
 
 namespace nectar::cabos {
 
@@ -71,8 +70,6 @@ class Kernel : public sim::Component
     auto
     compute(sim::Tick cost)
     {
-        SIM_OWNER_INVARIANT(*this, _board,
-                            name() + ": kernel off its board's cluster");
         return _board.cpu().compute(cost);
     }
 

@@ -1,9 +1,9 @@
 #include "fault/planio.hh"
 
 #include <cstdio>
-#include <cstdlib>
 #include <fstream>
 #include <sstream>
+#include <string_view>
 
 #include "sim/logging.hh"
 #include "sim/parse.hh"
@@ -131,7 +131,9 @@ parsePlan(const std::string &text)
                 rest.erase(0, 1);
             plan.name = rest;
         } else if (kw == "seed") {
-            if (!(ls >> plan.seed))
+            std::string seed, extra;
+            if (!(ls >> seed) || (ls >> extra) ||
+                !sim::parseWhole(seed, plan.seed))
                 badLine(lineno, line, "bad seed");
         } else if (kw == "event") {
             FaultEvent e;
@@ -164,22 +166,17 @@ parsePlan(const std::string &text)
                     if (!parseDir(val, e.dir))
                         badLine(lineno, line, "unknown dir");
                 } else if (key == "burst") {
-                    double p[4];
-                    const char *s = val.c_str();
-                    char *endp = nullptr;
+                    // Exactly four probabilities, each in [0, 1].
+                    double p[4] = {};
+                    std::string_view rest = val;
                     for (int i = 0; i < 4; ++i) {
-                        p[i] = std::strtod(s, &endp);
-                        if (endp == s)
+                        std::size_t comma = rest.find(',');
+                        if ((comma == std::string_view::npos) != (i == 3) ||
+                            !sim::parseWhole(rest.substr(0, comma), p[i]) ||
+                            p[i] < 0.0 || p[i] > 1.0)
                             badLine(lineno, line, "bad burst");
-                        s = endp;
-                        if (i < 3) {
-                            if (*s != ',')
-                                badLine(lineno, line, "bad burst");
-                            ++s;
-                        }
+                        rest.remove_prefix(i < 3 ? comma + 1 : rest.size());
                     }
-                    if (*s)
-                        badLine(lineno, line, "bad burst");
                     e.burst.pGoodBad = p[0];
                     e.burst.pBadGood = p[1];
                     e.burst.lossGood = p[2];

@@ -5,7 +5,6 @@
 #include "hub/commands.hh"
 #include "hub/hub.hh"
 #include "sim/logging.hh"
-#include "sim/owner.hh"
 
 namespace nectar::hub {
 
@@ -61,8 +60,6 @@ IoPort::transmit(const WireItem &item, bool stolen)
 void
 IoPort::fiberDeliver(WireItem item, Tick firstByte, Tick lastByte)
 {
-    SIM_OWNER_INVARIANT(*this, hub,
-                        name() + ": port off its hub's cluster");
     if (!_enabled) {
         hub.stats().disabledDrops.add();
         return;

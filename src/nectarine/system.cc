@@ -11,12 +11,6 @@ NectarSystem::NectarSystem(sim::EventQueue &eq,
 {
     if (!this->topology)
         sim::fatal("NectarSystem: null topology");
-    // Each HUB anchors one partition cluster: tag it (and its
-    // ports/controller) with its own index.  CAB stacks join their
-    // HUB's cluster in addCab; fiber links stay unowned — they are
-    // the sanctioned mediated crossings.
-    for (int h = 0; h < this->topology->numHubs(); ++h)
-        this->topology->hubAt(h).setOwnerCluster(h);
 }
 
 CabSite &
@@ -43,11 +37,6 @@ NectarSystem::addCab(int hubIndex, hub::PortId port,
     site->transport = std::make_unique<transport::Transport>(
         *site->kernel, *site->datalink, dir, site->address,
         config.transport);
-
-    site->board->setOwnerCluster(hubIndex);
-    site->kernel->setOwnerCluster(hubIndex);
-    site->datalink->setOwnerCluster(hubIndex);
-    site->transport->setOwnerCluster(hubIndex);
 
     dir.registerCab(site->address, site->at);
     site->transport->setProbe(deliveryProbe);

@@ -8,6 +8,7 @@ namespace nectar::sim {
 
 namespace {
 
+// nectar-lint: global-ok log verbosity only; no simulated behaviour reads it
 LogLevel globalLevel = LogLevel::warn;
 
 } // namespace

@@ -39,7 +39,7 @@ TopologyDescription::validate() const
         sim::fatal("TopologyDescription '" + name + "': " + what);
     };
 
-    if (numHubs() > 256)
+    if (numHubs() > maxHubs)
         bad("more than 256 HUBs (addresses are 8-bit)");
     const int ports = effectivePorts();
     if (hubPorts < 0)
@@ -156,11 +156,15 @@ describeGrid(const std::string &name, int rows, int cols,
 {
     if (rows < 1 || cols < 1)
         sim::fatal(name + " generator: dimensions must be positive");
+    if (std::int64_t{rows} * cols > TopologyDescription::maxHubs)
+        sim::fatal(name + " generator: more than 256 HUBs");
 
     TopologyDescription d;
     d.name = name + std::to_string(rows) + "x" + std::to_string(cols);
     d.hubPorts = hubPorts;
     const int ports = d.effectivePorts();
+    if (cabsPerHub > ports)
+        sim::fatal(name + " generator: more CABs than ports");
     if (ports < 5 && rows * cols > 1)
         sim::fatal(name + " generator: need at least 5 ports per HUB");
     if (cabsPerHub > ports - 4 && rows * cols > 1)
@@ -247,7 +251,7 @@ describeFatTree(int spines, int leaves, int cabsPerLeaf,
     const int ports = d.effectivePorts();
     if (leaves > ports)
         sim::fatal("describeFatTree: more leaves than spine ports");
-    if (cabsPerLeaf + spines > ports)
+    if (std::int64_t{cabsPerLeaf} + spines > ports)
         sim::fatal("describeFatTree: leaf needs cabsPerLeaf + spines "
                    "ports");
 
@@ -276,7 +280,9 @@ describeRandomRegular(std::uint64_t seed, int hubs, int degree,
     if (hubs < 2 || degree < 2)
         sim::fatal("describeRandomRegular: need hubs >= 2 and "
                    "degree >= 2");
-    if ((hubs * degree) % 2 != 0)
+    if (hubs > TopologyDescription::maxHubs)
+        sim::fatal("describeRandomRegular: more than 256 HUBs");
+    if (std::int64_t{hubs} * degree % 2 != 0)
         sim::fatal("describeRandomRegular: hubs * degree must be "
                    "even");
     if (degree >= hubs)
@@ -287,7 +293,7 @@ describeRandomRegular(std::uint64_t seed, int hubs, int degree,
              std::to_string(degree) + "s" + std::to_string(seed);
     d.hubPorts = hubPorts;
     const int ports = d.effectivePorts();
-    if (cabsPerHub + degree > ports)
+    if (std::int64_t{cabsPerHub} + degree > ports)
         sim::fatal("describeRandomRegular: cabsPerHub + degree "
                    "exceeds ports");
 

@@ -72,6 +72,9 @@ struct CabDecl
  */
 struct TopologyDescription
 {
+    /** HUB addresses are 8-bit. */
+    static constexpr int maxHubs = 256;
+
     std::string name = "fabric";
     /** Ports per HUB; 0 uses the HubConfig default (16). */
     int hubPorts = 0;

@@ -2,6 +2,7 @@
 
 #include <cstdint>
 #include <fstream>
+#include <limits>
 #include <map>
 #include <sstream>
 #include <vector>
@@ -50,6 +51,17 @@ parseInt(const std::string &s, int line, const std::string &what)
     return v;
 }
 
+/** parseInt for a field stored as an int: fatal past INT_MAX, so the
+ *  value can never wrap on the way in. */
+int
+parseIntField(const std::string &s, int line, const std::string &what)
+{
+    std::int64_t v = parseInt(s, line, what);
+    if (v > std::numeric_limits<int>::max())
+        parseFatal(line, what + " out of range: '" + s + "'");
+    return static_cast<int>(v);
+}
+
 /** Parse "<hub>.<port>" against the declared hubs. */
 std::pair<int, hub::PortId>
 parseAttach(const TopologyDescription &d, const std::string &s,
@@ -62,9 +74,7 @@ parseAttach(const TopologyDescription &d, const std::string &s,
     int h = d.hubIndexByName(hubName);
     if (h < 0)
         parseFatal(line, "unknown HUB '" + hubName + "'");
-    int p = static_cast<int>(
-        parseInt(s.substr(dot + 1), line, "port"));
-    return {h, p};
+    return {h, parseIntField(s.substr(dot + 1), line, "port")};
 }
 
 /** Parse trailing key=value options into a map; fatal on others. */
@@ -97,6 +107,30 @@ optInt(const std::map<std::string, std::string> &opts,
     return parseInt(it->second, line, key);
 }
 
+int
+optIntField(const std::map<std::string, std::string> &opts,
+            const std::string &key, int dflt, int line)
+{
+    auto it = opts.find(key);
+    if (it == opts.end())
+        return dflt;
+    return parseIntField(it->second, line, key);
+}
+
+/** Run a generator; its errors (too many HUBs, too few ports) name
+ *  the generate line. */
+template <typename Build>
+TopologyDescription
+generateAt(int line, Build build)
+{
+    try {
+        return build();
+    } catch (const sim::FatalError &e) {
+        // what() opens with "fatal: ", which parseFatal adds again.
+        parseFatal(line, std::string(e.what()).substr(sizeof "fatal: " - 1));
+    }
+}
+
 /** Expand a `generate <kind> k=v...` line via the generators. */
 TopologyDescription
 expandGenerate(const std::vector<std::string> &toks, int line,
@@ -109,44 +143,47 @@ expandGenerate(const std::vector<std::string> &toks, int line,
     if (kind == "mesh2d" || kind == "torus2d") {
         auto opts = parseOptions(toks, 2, line,
                                  " rows cols cabs latency ");
-        int rows = static_cast<int>(optInt(opts, "rows", 0, line));
-        int cols = static_cast<int>(optInt(opts, "cols", 0, line));
-        int cabs = static_cast<int>(optInt(opts, "cabs", 0, line));
+        int rows = optIntField(opts, "rows", 0, line);
+        int cols = optIntField(opts, "cols", 0, line);
+        int cabs = optIntField(opts, "cabs", 0, line);
         sim::Tick lat = optInt(opts, "latency", 0, line);
         if (rows < 1 || cols < 1)
             parseFatal(line, "generate " + kind +
                                  " needs rows= and cols=");
-        d = kind == "mesh2d"
-                ? describeMesh2D(rows, cols, cabs, lat, hubPorts)
-                : describeTorus2D(rows, cols, cabs, lat, hubPorts);
+        d = generateAt(line, [&] {
+            return kind == "mesh2d"
+                       ? describeMesh2D(rows, cols, cabs, lat, hubPorts)
+                       : describeTorus2D(rows, cols, cabs, lat, hubPorts);
+        });
     } else if (kind == "fattree") {
         auto opts = parseOptions(toks, 2, line,
                                  " spines leaves cabs latency ");
-        int spines =
-            static_cast<int>(optInt(opts, "spines", 0, line));
-        int leaves =
-            static_cast<int>(optInt(opts, "leaves", 0, line));
-        int cabs = static_cast<int>(optInt(opts, "cabs", 0, line));
+        int spines = optIntField(opts, "spines", 0, line);
+        int leaves = optIntField(opts, "leaves", 0, line);
+        int cabs = optIntField(opts, "cabs", 0, line);
         sim::Tick lat = optInt(opts, "latency", 0, line);
         if (spines < 1 || leaves < 1)
             parseFatal(line, "generate fattree needs spines= and "
                              "leaves=");
-        d = describeFatTree(spines, leaves, cabs, lat, hubPorts);
+        d = generateAt(line, [&] {
+            return describeFatTree(spines, leaves, cabs, lat, hubPorts);
+        });
     } else if (kind == "random") {
         auto opts = parseOptions(toks, 2, line,
                                  " seed hubs degree cabs latency ");
         std::uint64_t seed = static_cast<std::uint64_t>(
             optInt(opts, "seed", 1, line));
-        int hubs = static_cast<int>(optInt(opts, "hubs", 0, line));
-        int degree =
-            static_cast<int>(optInt(opts, "degree", 0, line));
-        int cabs = static_cast<int>(optInt(opts, "cabs", 0, line));
+        int hubs = optIntField(opts, "hubs", 0, line);
+        int degree = optIntField(opts, "degree", 0, line);
+        int cabs = optIntField(opts, "cabs", 0, line);
         sim::Tick lat = optInt(opts, "latency", 0, line);
         if (hubs < 2 || degree < 2)
             parseFatal(line, "generate random needs hubs= and "
                              "degree=");
-        d = describeRandomRegular(seed, hubs, degree, cabs, lat,
-                                  hubPorts);
+        d = generateAt(line, [&] {
+            return describeRandomRegular(seed, hubs, degree, cabs, lat,
+                                         hubPorts);
+        });
     } else {
         parseFatal(line, "unknown generate kind '" + kind + "'");
     }
@@ -212,8 +249,7 @@ parseTopology(const std::string &text)
                 parseFatal(lineNo, "ports takes one count");
             if (d.hubPorts != 0)
                 parseFatal(lineNo, "duplicate ports line");
-            d.hubPorts = static_cast<int>(
-                parseInt(toks[1], lineNo, "port count"));
+            d.hubPorts = parseIntField(toks[1], lineNo, "port count");
             if (d.hubPorts < 1 || d.hubPorts > 256)
                 parseFatal(lineNo, "ports must be in [1, 256]");
         } else if (kw == "generate") {
@@ -241,8 +277,7 @@ parseTopology(const std::string &text)
             d.trunks.push_back(
                 TrunkDecl{a, pa, b, pb,
                           optInt(opts, "latency", 0, lineNo),
-                          static_cast<int>(
-                              optInt(opts, "width", 1, lineNo))});
+                          optIntField(opts, "width", 1, lineNo)});
         } else if (kw == "cab") {
             if (toks.size() < 3)
                 parseFatal(lineNo,

@@ -4,7 +4,6 @@
 #include <cmath>
 
 #include "sim/logging.hh"
-#include "sim/owner.hh"
 #include "sim/stats.hh"
 
 namespace nectar::transport {
@@ -74,8 +73,6 @@ sim::Task<bool>
 Transport::sendDatagram(CabAddress dst, std::uint16_t dstMailbox,
                         sim::PacketView data)
 {
-    SIM_OWNER_INVARIANT(*this, dl,
-                        name() + ": transport off its datalink's cluster");
     _stats.messagesSent.add();
     std::uint32_t msg_id = nextMsgId++;
     if (probe)
@@ -246,8 +243,6 @@ sim::Task<bool>
 Transport::sendReliable(CabAddress dst, std::uint16_t dstMailbox,
                         sim::PacketView data)
 {
-    SIM_OWNER_INVARIANT(*this, dl,
-                        name() + ": transport off its datalink's cluster");
     _stats.messagesSent.add();
     if (!_alive) {
         _stats.sendFailures.add();

@@ -13,8 +13,6 @@ using sim::Task;
 
 namespace {
 
-int allreduceCounter = 0;
-
 std::uint64_t
 fnv1a(const std::vector<std::uint8_t> &bytes)
 {
@@ -99,7 +97,7 @@ AllreduceWorkload::AllreduceWorkload(
         sim::fatal("AllreduceWorkload: bytes must be a positive "
                    "multiple of 4 (32-bit lanes)");
 
-    const std::string run = std::to_string(allreduceCounter++);
+    const std::string run = std::to_string(api.taskCount());
     auto groupsp = &groups;
     _slots->resize(static_cast<std::size_t>(cfg.members));
     std::vector<TaskId> ids;

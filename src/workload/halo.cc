@@ -10,12 +10,6 @@ using nectarine::TaskContext;
 using nectarine::TaskId;
 using sim::Task;
 
-namespace {
-
-int haloCounter = 0;
-
-} // namespace
-
 HaloExchange::HaloExchange(nectarine::Nectarine &api,
                            std::vector<std::size_t> sites,
                            const Config &config)
@@ -25,7 +19,7 @@ HaloExchange::HaloExchange(nectarine::Nectarine &api,
         static_cast<std::size_t>(cfg.rows) * cfg.cols)
         sim::fatal("HaloExchange: sites must cover the grid");
 
-    const std::string run = std::to_string(haloCounter++);
+    const std::string run = std::to_string(api.taskCount());
     auto cells = std::make_shared<std::vector<TaskId>>();
 
     for (int r = 0; r < cfg.rows; ++r) {

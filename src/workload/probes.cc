@@ -5,18 +5,12 @@ namespace nectar::workload {
 using nectarine::TaskContext;
 using sim::Task;
 
-namespace {
-
-int probeCounter = 0;
-
-} // namespace
-
 PingPong::PingPong(nectarine::Nectarine &api, std::size_t siteA,
                    std::size_t siteB, const Config &config)
     : cfg(config)
 {
     std::string suffix =
-        cfg.label + "_" + std::to_string(probeCounter++);
+        cfg.label + "_" + std::to_string(api.taskCount());
 
     nectarine::TaskId echo = api.createTask(
         siteB, "echo_" + suffix,
@@ -58,7 +52,7 @@ StreamMeter::StreamMeter(nectarine::Nectarine &api, std::size_t siteA,
     : cfg(config)
 {
     std::string suffix =
-        cfg.label + "_" + std::to_string(probeCounter++);
+        cfg.label + "_" + std::to_string(api.taskCount());
 
     std::uint64_t messages =
         (cfg.totalBytes + cfg.messageBytes - 1) / cfg.messageBytes;

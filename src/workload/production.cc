@@ -10,8 +10,6 @@ using sim::Task;
 
 namespace {
 
-int productionCounter = 0;
-
 void
 putTick(std::vector<std::uint8_t> &v, std::size_t off, Tick t)
 {
@@ -39,7 +37,7 @@ ProductionWorkload::ProductionWorkload(
     if (workerSites.empty())
         sim::fatal("ProductionWorkload: need at least one worker");
 
-    const std::string run = std::to_string(productionCounter++);
+    const std::string run = std::to_string(api.taskCount());
     auto workers = std::make_shared<std::vector<TaskId>>();
 
     for (std::size_t w = 0; w < workerSites.size(); ++w) {

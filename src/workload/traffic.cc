@@ -9,8 +9,6 @@ using sim::Task;
 
 namespace {
 
-int trafficCounter = 0;
-
 /** splitmix64, to whiten adjacent per-site seeds apart. */
 std::uint64_t
 mix64(std::uint64_t x)
@@ -45,7 +43,7 @@ RandomTraffic::RandomTraffic(nectarine::Nectarine &api,
     : cfg(config)
 {
     const std::size_t n = api.system().siteCount();
-    const std::string run = std::to_string(trafficCounter++);
+    const std::string run = std::to_string(api.taskCount());
     auto senders_left = std::make_shared<int>(static_cast<int>(n));
 
     receivers.reserve(n);

@@ -11,8 +11,6 @@ using sim::Task;
 
 namespace {
 
-int visionCounter = 0;
-
 constexpr std::uint8_t kindFeature = 0xF0;
 constexpr std::uint8_t kindQuery = 0x0A;
 
@@ -46,7 +44,7 @@ VisionWorkload::VisionWorkload(nectarine::Nectarine &api,
     if (dbSites.empty())
         sim::fatal("VisionWorkload: need at least one database shard");
 
-    const std::string run = std::to_string(visionCounter++);
+    const std::string run = std::to_string(api.taskCount());
 
     // --- Database shards: store features, answer spatial queries.
     std::vector<TaskId> shards;

@@ -12,7 +12,7 @@ inline void (*hookFn)(int) = nullptr;
 
 inline constexpr int maxRetries = 5;      // constexpr: immutable
 static const char *const tag = "v1";      // const: immutable
-static thread_local int scratch = 0;      // per-thread by definition
+static thread_local int scratch = 0;      // one thread runs every system
 
 // nectar-lint: global-ok corpus fixture justifying a waiver
 static int sanctioned = 0;
@@ -39,6 +39,43 @@ consume()
         (void)warned;
     }
     return Counters::grand > totalBytes ? 1 : 0;
+}
+
+} // namespace fake
+
+// The forms that need no static, inline or extern keyword, and the
+// storage keywords that do not make state per-system.
+namespace fake {
+
+namespace {
+int runCounter = 0;                       // anonymous namespace
+} // namespace
+
+double lastLatency;                       // named namespace, no keyword
+
+struct Ledger
+{
+    static std::uint64_t entries;
+    int size() const;
+};
+std::uint64_t Ledger::entries = 0;        // out-of-line definition
+
+int
+Ledger::size() const
+{
+    static int calls = 0;                 // static in a const member
+    return ++calls;
+}
+
+constinit int firstRun = 1;               // constinit fixes only the start
+thread_local int perThread = 0;           // one thread runs every system
+constinit const int fixed = 2;            // const: fine
+
+inline int
+calls()
+{
+    thread_local int n = 0;               // block-scope thread_local
+    return ++n;
 }
 
 } // namespace fake

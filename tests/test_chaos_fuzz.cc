@@ -125,22 +125,42 @@ TEST(PlanIo, MalformedInputIsFatal)
                           "chaos_fuzz_does_not_exist.plan"),
                  sim::FatalError);
 
+    auto expectFatalAt = [](const std::string &text,
+                            const std::string &where) {
+        try {
+            parsePlan(text);
+            ADD_FAILURE() << text << " parsed";
+        } catch (const sim::FatalError &e) {
+            EXPECT_NE(std::string(e.what()).find(where),
+                      std::string::npos)
+                << e.what();
+        }
+    };
+
     // Target fields must be whole integers: atoi would read these as
     // hub 0, port 1 and site 0 and fault the wrong target.
     for (const char *event :
          {"event at=5 action=hubLinkDown hub=two port=1 site=-1",
           "event at=5 action=hubLinkDown hub=2 port=1x site=-1",
-          "event at=5 action=cabCrash hub=-1 port=-1 site=-"}) {
-        try {
-            parsePlan(std::string("nectar-fault-plan v1\nseed 1\n") +
-                      event + "\nend\n");
-            ADD_FAILURE() << event << " parsed";
-        } catch (const sim::FatalError &e) {
-            EXPECT_NE(std::string(e.what()).find("line 3"),
-                      std::string::npos)
-                << e.what();
-        }
-    }
+          "event at=5 action=cabCrash hub=-1 port=-1 site=-"})
+        expectFatalAt(std::string("nectar-fault-plan v1\nseed 1\n") +
+                          event + "\nend\n",
+                      "line 3");
+
+    // So must the seed: operator>> read these as 12, 5 and 2^64-1.
+    for (const char *seed : {"seed 12abc", "seed 5 7", "seed -1"})
+        expectFatalAt(std::string("nectar-fault-plan v1\n") + seed +
+                          "\nend\n",
+                      "line 2");
+
+    // Burst probabilities are four finite values in [0, 1]: a NaN
+    // reached a float-to-int cast in the fiber's dwell sampler.
+    for (const char *burst : {"nan,0.5,0,1", "7,-3,0,1", "0.5,inf,0,1"})
+        expectFatalAt(std::string("nectar-fault-plan v1\nseed 1\n"
+                                  "event at=5 action=burstStart hub=-1 "
+                                  "port=-1 site=0 dir=both burst=") +
+                          burst + "\nend\n",
+                      "line 3");
 }
 
 // ----- plan validation policy ---------------------------------------

@@ -333,4 +333,33 @@ TEST(TopoFileTest, ParseErrorsCarryTheLineNumber)
     expectLine("nectar-topo v1\nhub a\nhub b\n"
                "trunk a.0 b.0 latency=9999999999999999999\nend\n",
                "line 4: latency out of range");
+    // Fields stored as int are bounded to int: a cast would wrap
+    // these to port 0, width 1, 2 rows, 16 ports and 1 CAB.
+    expectLine("nectar-topo v1\nhub a\nhub b\n"
+               "trunk a.4294967296 b.1\nend\n",
+               "line 4: port out of range");
+    expectLine("nectar-topo v1\nhub a\nhub b\n"
+               "trunk a.0 b.1 width=4294967297\nend\n",
+               "line 4: width out of range");
+    expectLine("nectar-topo v1\n"
+               "generate mesh2d rows=4294967298 cols=2\nend\n",
+               "line 2: rows out of range");
+    expectLine("nectar-topo v1\nports 4294967312\nend\n",
+               "line 2: port count out of range");
+    expectLine("nectar-topo v1\n"
+               "generate mesh2d rows=1 cols=1 cabs=4294967297\nend\n",
+               "line 2: cabs out of range");
+    // In range but oversized: rejected before a HUB or CAB is built.
+    expectLine("nectar-topo v1\n"
+               "generate mesh2d rows=65536 cols=65536\nend\n",
+               "line 2: mesh generator: more than 256 HUBs");
+    expectLine("nectar-topo v1\n"
+               "generate random hubs=2000000000 degree=4\nend\n",
+               "line 2: describeRandomRegular: more than 256 HUBs");
+    expectLine("nectar-topo v1\n"
+               "generate mesh2d rows=1 cols=1 cabs=2000000000\nend\n",
+               "line 2: mesh generator: more CABs than ports");
+    expectLine("nectar-topo v1\ngenerate fattree spines=2147483647 "
+               "leaves=1 cabs=2147483647\nend\n",
+               "line 2: describeFatTree: leaf needs");
 }

@@ -15,6 +15,15 @@ namespace nectar::lint {
 
 namespace {
 
+/** Path substrings marking the zero-copy packet path, where D3 applies. */
+constexpr const char *packetPathDirs[] = {
+    "/phys/", "/hub/", "/datalink/", "/transport/", "/cab/",
+};
+
+/** Path substring marking simulation code, where D7 applies (tools
+ *  and tests may keep process-wide state). */
+constexpr const char *simulationDir = "src/";
+
 // --------------------------------------------------------------------
 // D1 — wall-clock time and unseeded randomness.
 // --------------------------------------------------------------------
@@ -328,16 +337,20 @@ scanScheduleSites(const Prepared &p, const std::string &file,
 }
 
 // --------------------------------------------------------------------
-// D7 — mutable global / static state.
+// D7 — mutable static-storage state.
 //
-// A variable that outlives every component instance is invisible to
-// any partitioning of the component graph: two clusters would share
-// it without either one owning it.  The scanner tracks
-// brace scopes lexically (namespace, class, function/block,
-// initializer) and flags mutable variables introduced by `static`,
-// namespace-scope `inline`, or `extern` without a const qualifier.
-// const/constexpr state and thread_local variables pass: the former
-// cannot be written, the latter is per-thread by definition.
+// One process builds many systems: every test in a binary, every
+// bench rung, every fuzz seed.  A variable with static storage
+// outlives each of them, so what one run leaves in it reaches the
+// next, and a result comes to depend on what ran before.  The
+// scanner tracks brace scopes lexically (namespace, class,
+// function/block, initializer) and parses a declaration at the start
+// of every namespace-scope statement and at every `static` or
+// `thread_local` inside a class or function.  One that introduces a
+// variable without const/constexpr is a finding.  thread_local and
+// constinit do not exempt it: the simulator is single-threaded, so a
+// thread_local is shared by every system the thread builds, and
+// constinit only fixes how the variable starts.
 // --------------------------------------------------------------------
 
 enum class ScopeKind { ns, cls, fn, init };
@@ -363,140 +376,190 @@ classifyBrace(const std::string &code, std::size_t open)
     static const std::regex nsRe(R"(\b(namespace|extern)\b)");
     static const std::regex clsRe(R"(\b(class|struct|union|enum)\b)");
     static const std::regex blkRe(R"(\b(else|do|try|catch)\s*$)");
+    // A body after a qualified parameter list: `f() const {`,
+    // `[n]() mutable {`.
+    static const std::regex qualRe(
+        R"(\)\s*((const|noexcept|override|final|mutable)\s*)+$)");
     if (std::regex_search(head, nsRe))
         return ScopeKind::ns;
     if (std::regex_search(head, clsRe))
         return ScopeKind::cls;
-    if (std::regex_search(head, blkRe) || c == ':')
+    if (std::regex_search(head, blkRe) || std::regex_search(head, qualRe) ||
+        c == ':')
         return ScopeKind::fn;
     return ScopeKind::init;
+}
+
+/** @p code with preprocessor lines (and their continuations) blanked,
+ *  so a directive never reads as part of the statement after it. */
+std::string
+blankDirectives(std::string code)
+{
+    bool inDirective = false;
+    std::size_t begin = 0;
+    while (begin < code.size()) {
+        std::size_t end = code.find('\n', begin);
+        if (end == std::string::npos)
+            end = code.size();
+        std::size_t first = skipWs(code, begin);
+        if (inDirective || (first < end && code[first] == '#')) {
+            std::size_t last = prevNonWs(code, end);
+            inDirective = last != std::string::npos && last >= begin &&
+                          code[last] == '\\';
+            std::fill(code.begin() + static_cast<std::ptrdiff_t>(begin),
+                      code.begin() + static_cast<std::ptrdiff_t>(end),
+                      ' ');
+        }
+        begin = end + 1;
+    }
+    return code;
+}
+
+/** A declaration parsed from a candidate start. */
+struct Declaration
+{
+    bool variable = false; ///< Introduces a mutable variable.
+    bool qualified = false; ///< Its name is qualified (`A::b`).
+    std::size_t end = 0;   ///< Where the declarator ended.
+};
+
+/**
+ * Parse the declaration starting at @p begin: scan to the first of
+ * ';', '=', '{' (a variable) or '(' (a function, unless it opens a
+ * function-pointer declarator like `void (*f)() = nullptr`).
+ */
+Declaration
+parseDeclaration(const std::string &code, std::size_t begin)
+{
+    Declaration d;
+    std::size_t i = begin;
+    bool sawDeclarator = false, decided = false;
+    while (i < code.size() && !decided) {
+        char c = code[i];
+        if (c == ';' || c == '=' || c == '{') {
+            decided = true;
+            d.variable = true;
+        } else if (c == '(') {
+            std::size_t nx = skipWs(code, i + 1);
+            if (sawDeclarator ||
+                (nx < code.size() && (code[nx] == '*' || code[nx] == '&'))) {
+                // A function-pointer declarator, or the parameter
+                // list after one: it belongs to the variable's type.
+                sawDeclarator = true;
+                std::size_t end = matchBracket(code, i);
+                if (end == std::string::npos)
+                    break;
+                i = end;
+                continue;
+            }
+            decided = true; // plain function declaration
+        } else if (c == '<') {
+            std::size_t end = matchBracket(code, i);
+            if (end == std::string::npos)
+                break;
+            i = end;
+            continue;
+        } else {
+            ++i;
+            continue;
+        }
+    }
+    d.end = i;
+    if (!d.variable)
+        return d;
+
+    std::string decl = code.substr(begin, i - begin);
+    static const std::regex stopWords(
+        R"(\b(const|constexpr|consteval)"
+        R"(|using|typedef|friend|operator|template|namespace)"
+        R"(|class|struct|union|enum|void|return)\b)");
+    for (auto wt = std::sregex_iterator(decl.begin(), decl.end(),
+                                        stopWords);
+         wt != std::sregex_iterator(); ++wt) {
+        std::string w = wt->str();
+        // A function-pointer declarator is a variable no matter what
+        // its return type spells; const state cannot be written.
+        if (w.rfind("const", 0) == 0 || !sawDeclarator) {
+            d.variable = false;
+            return d;
+        }
+    }
+    // A declaration names a type and a variable: a lone word (the
+    // `x` of `struct {...} x;`, `extern "C"`) or a stray list tail is
+    // not one the scanner can read.
+    static const std::regex name(R"([A-Za-z_]\w*(\s*::\s*[A-Za-z_]\w*)*)");
+    int names = 0;
+    std::string last;
+    for (auto it = std::sregex_iterator(decl.begin(), decl.end(), name);
+         it != std::sregex_iterator(); ++it) {
+        ++names;
+        last = it->str();
+    }
+    d.variable = names >= 2;
+    d.qualified = last.find("::") != std::string::npos;
+    return d;
 }
 
 void
 scanGlobalState(const Prepared &p, const std::string &file,
                 std::vector<Finding> &out)
 {
-    const std::string &code = p.code;
+    const std::string code = blankDirectives(p.code);
 
-    // Every keyword that can introduce long-lived mutable state.
-    static const std::regex kw(R"(\b(static|inline|extern)\b)");
-    std::vector<std::pair<std::size_t, std::string>> hits;
+    static const std::regex kw(R"(\b(static|thread_local)\b)");
+    std::vector<std::size_t> keywords;
     for (auto it = std::sregex_iterator(code.begin(), code.end(), kw);
          it != std::sregex_iterator(); ++it)
-        hits.emplace_back(static_cast<std::size_t>(it->position()),
-                          (*it)[1].str());
+        keywords.push_back(static_cast<std::size_t>(it->position()));
 
-    if (hits.empty())
-        return;
-
-    // One pass over the code maintaining the scope stack; evaluate
-    // each keyword hit in the scope it occurs in.
+    // One pass over the code maintaining the scope stack: collect
+    // each candidate start with the scope it occurs in.
+    std::vector<std::pair<std::size_t, ScopeKind>> starts;
     std::vector<ScopeKind> stack; // empty = global scope (ns)
-    std::size_t h = 0;
-    for (std::size_t i = 0; i < code.size() && h < hits.size(); ++i) {
-        if (code[i] == '{') {
+    auto scope = [&] {
+        return stack.empty() ? ScopeKind::ns : stack.back();
+    };
+    bool atStatement = true;
+    std::size_t k = 0;
+    for (std::size_t i = 0; i < code.size(); ++i) {
+        char c = code[i];
+        while (k < keywords.size() && keywords[k] < i)
+            ++k;
+        if (k < keywords.size() && keywords[k] == i &&
+            (scope() == ScopeKind::cls || scope() == ScopeKind::fn))
+            starts.emplace_back(i, scope());
+        if (std::isspace(static_cast<unsigned char>(c)))
+            continue;
+        if (atStatement && c != ';' && c != '{' && c != '}')
+            starts.emplace_back(i, ScopeKind::ns);
+        if (c == '{')
             stack.push_back(classifyBrace(code, i));
-        } else if (code[i] == '}') {
-            if (!stack.empty())
-                stack.pop_back();
-        }
-        if (i != hits[h].first)
-            continue;
-        std::size_t pos = hits[h].first;
-        const std::string &word = hits[h].second;
-        ++h;
+        else if (c == '}' && !stack.empty())
+            stack.pop_back();
+        atStatement = (c == ';' || c == '{' || c == '}') &&
+                      scope() == ScopeKind::ns;
+    }
 
-        ScopeKind scope = stack.empty() ? ScopeKind::ns : stack.back();
-        if (scope == ScopeKind::init)
+    std::size_t lastEnd = std::string::npos;
+    for (const auto &[pos, where] : starts) {
+        Declaration d = parseDeclaration(code, pos);
+        // `static thread_local int n;` starts twice; report it once.
+        if (!d.variable || d.end == lastEnd)
             continue;
-        // `inline`/`extern` only introduce variables at namespace
-        // scope; `static` does so in any scope.
-        if (word != "static" && scope != ScopeKind::ns)
-            continue;
-
-        // Parse the declaration: scan to the first of ';', '=', '{'
-        // (variable) or '(' (function — unless it opens a
-        // function-pointer declarator like `void (*f)() = nullptr`).
-        std::size_t i2 = pos + word.size();
-        bool isConst = false, notVar = false, sawDeclarator = false;
-        bool decided = false, isVariable = false;
-        static const std::regex stopWords(
-            R"(\b(const|constexpr|consteval|constinit|thread_local)"
-            R"(|using|typedef|friend|operator|template|namespace)"
-            R"(|class|struct|union|enum|void|return)\b)");
-        std::size_t declBegin = i2;
-        while (i2 < code.size() && !decided) {
-            char c = code[i2];
-            if (c == ';' || c == '=' || c == '{') {
-                decided = true;
-                isVariable = true;
-            } else if (c == '(') {
-                std::size_t nx = skipWs(code, i2 + 1);
-                if (nx < code.size() &&
-                    (code[nx] == '*' || code[nx] == '&')) {
-                    // Function-pointer declarator: skip it and keep
-                    // scanning; the param-list paren that follows
-                    // belongs to the variable's type.
-                    sawDeclarator = true;
-                    std::size_t end = matchBracket(code, i2);
-                    if (end == std::string::npos)
-                        break;
-                    i2 = end;
-                    continue;
-                }
-                if (sawDeclarator) {
-                    // `(*f)(params)` — skip the parameter list.
-                    std::size_t end = matchBracket(code, i2);
-                    if (end == std::string::npos)
-                        break;
-                    i2 = end;
-                    continue;
-                }
-                decided = true;
-                isVariable = false; // plain function declaration
-            } else if (c == '<') {
-                std::size_t end = matchBracket(code, i2);
-                if (end == std::string::npos)
-                    break;
-                i2 = end;
-                continue;
-            } else {
-                ++i2;
-                continue;
-            }
-        }
-        if (!decided || !isVariable)
-            continue;
-        std::string decl = code.substr(declBegin, i2 - declBegin);
-        for (auto wt = std::sregex_iterator(decl.begin(), decl.end(),
-                                            stopWords);
-             wt != std::sregex_iterator(); ++wt) {
-            std::string w = wt->str();
-            if (w == "const" || w == "constexpr" ||
-                w == "consteval" || w == "constinit" ||
-                w == "thread_local")
-                isConst = true;
-            else if (!sawDeclarator)
-                // A function-pointer declarator is a variable no
-                // matter what its return type spells.
-                notVar = true;
-        }
-        if (isConst || notVar)
-            continue;
-
-        const char *where =
-            scope == ScopeKind::ns  ? "namespace-scope"
-            : scope == ScopeKind::cls ? "static-data-member"
-                                      : "function-local static";
+        lastEnd = d.end;
+        const char *kind =
+            where == ScopeKind::fn ? "function-local static"
+            : where == ScopeKind::cls || d.qualified
+                ? "static data member"
+                : "namespace-scope variable";
         out.push_back(
             {"D7", file, lineOf(code, pos),
-             std::string("mutable ") + where +
-                 " state: invisible to any component partitioning, "
-                 "so clusters would share it outside the fiber "
-                 "chokepoints; "
-                 "make it const/thread_local, move it into a "
-                 "component, or annotate "
-                 "'nectar-lint: global-ok <why>'"});
+             std::string("mutable ") + kind +
+                 ": it outlives every system the process builds, so "
+                 "one run's state reaches the next (thread_local "
+                 "too: the simulator is single-threaded); move it "
+                 "into the system or a component, make it const, or "
+                 "annotate 'nectar-lint: global-ok <why>'"});
     }
 }
 
@@ -520,23 +583,15 @@ ruleDescription(const std::string &rule)
                "schedule()/spawn()";
     if (rule == "D5")
         return "no bare integer time literals at schedule sites";
-    if (rule == "D6")
-        return "no direct cross-component state mutation off the "
-               "mediated-call allowlist";
     if (rule == "D7")
-        return "no mutable global/namespace-scope static state in "
-               "simulation code";
-    if (rule == "D8")
-        return "no foreign references to another component's "
-               "internals stored in fields";
+        return "no mutable static-storage state in simulation code";
     if (rule == "A1")
         return "annotations need a known tag and a justification";
     return "unknown rule";
 }
 
 std::vector<Finding>
-lintSource(const std::string &path, const std::string &text,
-           const Options &opts)
+lintSource(const std::string &path, const std::string &text)
 {
     Prepared p = prepare(text);
 
@@ -545,18 +600,13 @@ lintSource(const std::string &path, const std::string &text,
 
     scanWallClock(p, path, raw);
     scanUnorderedIteration(p, path, raw);
-    bool onPacketPath = false;
-    for (const auto &dir : opts.packetPathDirs)
-        if (path.find(dir) != std::string::npos)
-            onPacketPath = true;
-    if (onPacketPath)
-        scanPacketCopies(p, path, raw);
+    for (const char *dir : packetPathDirs)
+        if (path.find(dir) != std::string::npos) {
+            scanPacketCopies(p, path, raw);
+            break;
+        }
     scanScheduleSites(p, path, raw);
-    bool simState = false;
-    for (const auto &dir : opts.globalStateDirs)
-        if (path.find(dir) != std::string::npos)
-            simState = true;
-    if (simState)
+    if (path.find(simulationDir) != std::string::npos)
         scanGlobalState(p, path, raw);
 
     std::vector<Finding> out;
@@ -576,14 +626,14 @@ lintSource(const std::string &path, const std::string &text,
 }
 
 std::vector<Finding>
-lintFile(const std::string &path, const Options &opts)
+lintFile(const std::string &path)
 {
     std::ifstream in(path, std::ios::binary);
     if (!in)
         throw std::runtime_error("nectar-lint: cannot read " + path);
     std::ostringstream ss;
     ss << in.rdbuf();
-    return lintSource(path, ss.str(), opts);
+    return lintSource(path, ss.str());
 }
 
 } // namespace nectar::lint

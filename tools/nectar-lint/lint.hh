@@ -25,15 +25,13 @@
  *  - D5  no bare integer time literals at schedule sites; use named
  *        sim::ticks constants (e.g. 5 * ticks::us) so units are
  *        explicit.
- *  - D7  no mutable global/namespace-scope static state in
- *        simulation code: state that no component owns is invisible
- *        to any partitioning of the component graph, so every
- *        cluster would share it outside the fiber chokepoints.
- *
- * Two further rules, D6 (direct cross-component state mutation off
- * the mediated-call allowlist) and D8 (foreign references to another
- * component's internals stored in fields), ride on the whole-tree
- * component access graph; see graph.hh.
+ *  - D7  no mutable static-storage state in simulation code
+ *        (namespace-scope variables, static data members, static
+ *        locals, thread_local and constinit variables): one process
+ *        builds many systems (every test, bench rung and fuzz seed),
+ *        and state that outlives a system carries one run's history
+ *        into the next.  thread_local is no exemption; the simulator
+ *        is single-threaded, so every system shares it.
  *
  * Violations are suppressed with an annotation carrying a
  * justification (rule A1 rejects annotations without one):
@@ -47,8 +45,7 @@
  *     // nectar-lint-file: capture-ok test frames outlive eq.run()
  *
  * Tags: wallclock-ok (D1), ordered-ok (D2), copy-ok (D3),
- * capture-ok (D4), raw-ticks-ok (D5), mediated-ok (D6),
- * global-ok (D7), foreign-ref-ok (D8).
+ * capture-ok (D4), raw-ticks-ok (D5), global-ok (D7).
  */
 
 #pragma once
@@ -61,32 +58,13 @@ namespace nectar::lint {
 /** One rule violation (or A1 annotation error). */
 struct Finding
 {
-    std::string rule;    ///< "D1".."D8", or "A1" (bad annotation).
+    std::string rule;    ///< "D1".."D5", "D7", or "A1" (bad annotation).
     std::string file;    ///< Path as passed to the linter.
     int line = 0;        ///< 1-based line number.
     std::string message; ///< Human-readable explanation.
 };
 
-/** Linter configuration. */
-struct Options
-{
-    /**
-     * Path substrings marking the zero-copy packet path; D3 applies
-     * only to files whose path contains one of these.
-     */
-    std::vector<std::string> packetPathDirs = {
-        "/phys/", "/hub/", "/datalink/", "/transport/", "/cab/",
-    };
-
-    /**
-     * Path substrings marking simulation code; D7 applies only to
-     * files whose path contains one of these (tools and tests may
-     * keep process-wide state).
-     */
-    std::vector<std::string> globalStateDirs = {"src/"};
-};
-
-/** One-line description of a rule id ("D1".."D8", "A1"). */
+/** One-line description of a rule id ("D1".."D5", "D7", "A1"). */
 const char *ruleDescription(const std::string &rule);
 
 /**
@@ -95,11 +73,9 @@ const char *ruleDescription(const std::string &rule);
  * @return Findings sorted by line, deduplicated by (rule, line).
  */
 std::vector<Finding> lintSource(const std::string &path,
-                                const std::string &text,
-                                const Options &opts = {});
+                                const std::string &text);
 
 /** Read @p path and lint it.  @throws std::runtime_error on I/O error. */
-std::vector<Finding> lintFile(const std::string &path,
-                              const Options &opts = {});
+std::vector<Finding> lintFile(const std::string &path);
 
 } // namespace nectar::lint

@@ -2,39 +2,27 @@
  * @file
  * nectar-lint command-line driver.
  *
- * Usage: nectar-lint [options] <file-or-dir>...
+ * Usage: nectar-lint [--explain] <file-or-dir>...
  *
  * Directories are scanned recursively for C++ sources; build trees,
  * dot-directories and the lint-corpus fixtures (which violate rules
  * on purpose) are skipped.  Files named explicitly are always
  * linted, corpus or not — that is how the corpus tests drive the
- * binary.
- *
- * With --graph-out, the whole-tree component access-graph pass
- * (graph.hh) also runs over every collected file under a src/
- * directory, emits D6/D8 findings, and writes partition_map.json;
- * --topo <file.topo> attaches the runtime clusters (one per HUB) and
- * the cross-cluster direct-mutation edge list the analysis gate
- * asserts is empty.
+ * binary.  --explain prints one line per rule.
  *
  * Exit status: 0 clean, 1 findings, 2 usage or I/O error.
  */
 
 #include <algorithm>
 #include <filesystem>
-#include <fstream>
 #include <iostream>
-#include <sstream>
 #include <string>
 #include <vector>
 
-#include "graph.hh"
 #include "lint.hh"
-#include "topo/topofile.hh"
 
 namespace fs = std::filesystem;
 using nectar::lint::Finding;
-using nectar::lint::Options;
 
 namespace {
 
@@ -76,39 +64,11 @@ collect(const fs::path &root, std::vector<std::string> &files)
 int
 usage()
 {
-    std::cerr
-        << "usage: nectar-lint [--packet-path <substr>]... "
-           "[--explain]\n"
-           "                   [--graph-out <json>] [--topo <file>] "
-           "<file-or-dir>...\n"
-           "Checks nectar-sim determinism and ownership rules "
-           "D1-D8; see DESIGN.md.\n"
-           "--graph-out runs the component access-graph pass "
-           "(D6/D8) over the\n"
-           "collected src/ files and writes the partition map; "
-           "--topo attaches the\n"
-           "runtime HUB clusters from a .topo fabric file.\n";
+    std::cerr << "usage: nectar-lint [--explain] <file-or-dir>...\n"
+                 "Checks the nectar-sim determinism and packet-path "
+                 "rules D1-D5, D7 and A1;\n"
+                 "see DESIGN.md.  --explain describes each rule.\n";
     return 2;
-}
-
-/** Convert a loaded fabric into the graph pass's summary form. */
-nectar::lint::TopoSummary
-summarize(const nectar::topo::TopologyDescription &d)
-{
-    nectar::lint::TopoSummary s;
-    s.name = d.name;
-    for (int h = 0; h < d.numHubs(); ++h)
-        s.hubs.push_back(d.hubNameAt(h));
-    int n = 0;
-    for (const auto &c : d.cabs) {
-        std::string name =
-            c.name.empty() ? "cab" + std::to_string(n) : c.name;
-        ++n;
-        s.cabs.emplace_back(name, c.hub);
-    }
-    for (const auto &t : d.trunks)
-        s.trunks.emplace_back(t.a, t.b);
-    return s;
 }
 
 } // namespace
@@ -116,27 +76,12 @@ summarize(const nectar::topo::TopologyDescription &d)
 int
 main(int argc, char **argv)
 {
-    Options opts;
     std::vector<std::string> files;
     bool explain = false;
-    std::string graphOut, topoPath;
 
-    std::vector<std::string> args(argv + 1, argv + argc);
-    for (std::size_t i = 0; i < args.size(); ++i) {
-        const std::string &a = args[i];
-        if (a == "--packet-path") {
-            if (i + 1 >= args.size())
-                return usage();
-            opts.packetPathDirs.push_back(args[++i]);
-        } else if (a == "--graph-out") {
-            if (i + 1 >= args.size())
-                return usage();
-            graphOut = args[++i];
-        } else if (a == "--topo") {
-            if (i + 1 >= args.size())
-                return usage();
-            topoPath = args[++i];
-        } else if (a == "--explain") {
+    for (int i = 1; i < argc; ++i) {
+        const std::string a = argv[i];
+        if (a == "--explain") {
             explain = true;
         } else if (a == "--help" || a == "-h") {
             usage();
@@ -153,8 +98,7 @@ main(int argc, char **argv)
         }
     }
     if (explain) {
-        for (const char *r :
-             {"D1", "D2", "D3", "D4", "D5", "D6", "D7", "D8", "A1"})
+        for (const char *r : {"D1", "D2", "D3", "D4", "D5", "D7", "A1"})
             std::cout << r << "  "
                       << nectar::lint::ruleDescription(r) << "\n";
         if (files.empty())
@@ -168,7 +112,7 @@ main(int argc, char **argv)
     for (const auto &f : files) {
         std::vector<Finding> findings;
         try {
-            findings = nectar::lint::lintFile(f, opts);
+            findings = nectar::lint::lintFile(f);
         } catch (const std::exception &e) {
             std::cerr << e.what() << "\n";
             return 2;
@@ -180,61 +124,6 @@ main(int argc, char **argv)
             std::cout << fd.file << ":" << fd.line << ": ["
                       << fd.rule << "] " << fd.message << "\n";
         }
-    }
-
-    if (!graphOut.empty()) {
-        std::vector<nectar::lint::SourceFile> srcs;
-        for (const auto &f : files) {
-            if (f.find("src/") == std::string::npos)
-                continue;
-            std::ifstream in(f, std::ios::binary);
-            if (!in) {
-                std::cerr << "nectar-lint: cannot read " << f
-                          << "\n";
-                return 2;
-            }
-            std::ostringstream ss;
-            ss << in.rdbuf();
-            srcs.push_back({f, ss.str()});
-        }
-        nectar::lint::GraphOptions gopts;
-        nectar::lint::GraphResult g =
-            nectar::lint::analyzeGraph(srcs, gopts);
-        for (const auto &fd : g.findings) {
-            ++nFindings;
-            std::cout << fd.file << ":" << fd.line << ": ["
-                      << fd.rule << "] " << fd.message << "\n";
-        }
-
-        nectar::lint::TopoSummary topo;
-        bool haveTopo = false;
-        if (!topoPath.empty()) {
-            try {
-                topo = summarize(
-                    nectar::topo::loadTopologyFile(topoPath));
-                haveTopo = true;
-            } catch (const std::exception &e) {
-                std::cerr << e.what() << "\n";
-                return 2;
-            }
-        }
-        std::ofstream out(graphOut, std::ios::binary);
-        if (!out) {
-            std::cerr << "nectar-lint: cannot write " << graphOut
-                      << "\n";
-            return 2;
-        }
-        out << nectar::lint::graphJson(
-            g, gopts, haveTopo ? &topo : nullptr);
-        std::size_t direct = 0;
-        for (const auto &e : g.edges)
-            if (e.kind == "direct-mutation")
-                ++direct;
-        std::cout << "nectar-lint: graph: " << g.components.size()
-                  << " component(s), " << g.edges.size()
-                  << " edge(s), " << direct
-                  << " direct cross-partition mutation(s) -> "
-                  << graphOut << "\n";
     }
 
     std::cout << "nectar-lint: " << nFindings << " finding(s) in "

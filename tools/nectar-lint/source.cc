@@ -189,10 +189,9 @@ const std::map<std::string, std::string> &
 tagToRule()
 {
     static const std::map<std::string, std::string> m = {
-        {"wallclock-ok", "D1"},   {"ordered-ok", "D2"},
-        {"copy-ok", "D3"},        {"capture-ok", "D4"},
-        {"raw-ticks-ok", "D5"},   {"mediated-ok", "D6"},
-        {"global-ok", "D7"},      {"foreign-ref-ok", "D8"},
+        {"wallclock-ok", "D1"}, {"ordered-ok", "D2"},
+        {"copy-ok", "D3"},      {"capture-ok", "D4"},
+        {"raw-ticks-ok", "D5"}, {"global-ok", "D7"},
     };
     return m;
 }

@@ -1,18 +1,16 @@
 /**
  * @file
- * Shared source preparation for the nectar-lint passes.
+ * Source preparation for the nectar-lint rule scanners (lint.cc).
  *
- * Both the per-file rule scanners (lint.cc, rules D1-D5 and D7) and
- * the whole-tree component-access-graph pass (graph.cc, rules D6 and
- * D8) need the same two services:
+ * Every scanner relies on two services:
  *
  *  - prepare(): blank comments and string/char literals so scanners
  *    only ever see code, while preserving newlines (positions map to
  *    the original lines) and collecting comment text per line;
  *  - parseAnnotations(): the annotation grammar
  *    ("// nectar-lint: <tag> <why>" and the file-wide
- *    "nectar-lint-file:" form), shared so a D6 waiver in a header
- *    works identically to a D1 waiver in a .cc.
+ *    "nectar-lint-file:" form), shared so a waiver works the same
+ *    way for every rule.
  *
  * The helpers here operate on the blanked code, so bracket matching
  * and token scans cannot be confused by literals.
@@ -63,7 +61,7 @@ std::size_t prevNonWs(const std::string &s, std::size_t i);
  */
 std::size_t matchBracket(const std::string &code, std::size_t open);
 
-/** Annotation tag -> rule id ("mediated-ok" -> "D6", ...). */
+/** Annotation tag -> rule id ("global-ok" -> "D7", ...). */
 const std::map<std::string, std::string> &tagToRule();
 
 /** Parsed per-file rule waivers. */

@@ -1,15 +1,13 @@
 #!/usr/bin/env bash
 # Full static-analysis and dynamic-checking sweep:
 #
-#   1. nectar-lint over src/ tests/ bench/ (rules D1-D8, A1);
-#   2. the component access-graph pass (D6/D8) with the fabric16
-#      partition gate, writing build/partition_map.json;
-#   3. clang-tidy with the repo .clang-tidy config, if installed
+#   1. nectar-lint over src/ tests/ bench/ (rules D1-D5, D7, A1);
+#   2. clang-tidy with the repo .clang-tidy config, if installed
 #      (the CI container only ships g++, so this step is skipped
 #      there — run it locally where LLVM is available);
-#   4. a NECTAR_CHECKED build (SIM_INVARIANT enabled) running the
+#   3. a NECTAR_CHECKED build (SIM_INVARIANT enabled) running the
 #      tier-1 suite;
-#   5. an address+undefined sanitizer build running the tier-1 suite.
+#   4. an address+undefined sanitizer build running the tier-1 suite.
 #
 # Every stage runs even when an earlier one fails; the script prints
 # a per-stage summary and exits non-zero if ANY stage failed (no
@@ -43,21 +41,16 @@ run() {
     return 0
 }
 
-# The lint binary is a hard prerequisite for stages 1-2; if it will
-# not even build there is nothing meaningful to aggregate.
+# The lint binary is a hard prerequisite for stage 1; if it will not
+# even build there is nothing meaningful to aggregate.
 if ! cmake -B build -S . >/dev/null ||
    ! cmake --build build --target nectar-lint -j >/dev/null; then
     echo "error: configure/build of nectar-lint failed" >&2
     exit 2
 fi
 
-run "nectar-lint (rules D1-D8)" \
+run "nectar-lint (rules D1-D5, D7, A1)" \
     ./build/tools/nectar-lint/nectar-lint src tests bench
-
-run "partition gate (access graph, fabric16)" \
-    ./build/tools/nectar-lint/nectar-lint \
-    --graph-out build/partition_map.json \
-    --topo examples/fabrics/fabric16.topo src
 
 if command -v clang-tidy >/dev/null 2>&1; then
     tidy_stage() {
