@@ -35,7 +35,6 @@ struct TransferResult
     std::uint64_t copiedBytes = 0; ///< Payload bytes deep-copied.
     std::uint64_t allocs = 0;   ///< Payload buffer allocations.
     std::uint64_t messages = 0; ///< Messages delivered at the sink.
-    double poolHitRate = 0;     ///< Arena hits / (hits + misses).
 };
 
 /** Node-to-node large transfer; returns latency + copy accounting. */
@@ -43,7 +42,6 @@ TransferResult
 transferNs(std::uint32_t totalBytes, bool pipelined)
 {
     sim::copyStats().reset();
-    sim::BufferArena::instance().resetStats();
     sim::EventQueue eq;
     auto sys = NectarSystem::singleHub(eq, 2);
     node::Node src(eq, "src"), dst(eq, "dst");
@@ -113,7 +111,6 @@ transferNs(std::uint32_t totalBytes, bool pipelined)
     r.allocs = sim::copyStats().bufferAllocs;
     r.messages =
         sys->site(1).transport->stats().messagesDelivered.value();
-    r.poolHitRate = sim::BufferArena::instance().stats().hitRate();
     return r;
 }
 
@@ -135,7 +132,6 @@ E9_LargeMessage(benchmark::State &state)
         static_cast<double>(r.copiedBytes) / msgs;
     state.counters["allocs_per_msg"] =
         static_cast<double>(r.allocs) / msgs;
-    state.counters["pool_hit_rate"] = r.poolHitRate;
 }
 BENCHMARK(E9_LargeMessage)
     ->ArgsProduct({{64 * 1024, 256 * 1024, 1024 * 1024}, {0, 1}})

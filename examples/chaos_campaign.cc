@@ -9,6 +9,8 @@
  * a byte-identical campaign report.
  *
  *   $ ./chaos_campaign [seed]
+ *
+ * The seed is a decimal integer; anything else exits with status 2.
  */
 
 #include <cstdio>
@@ -17,6 +19,7 @@
 #include "fault/chaos.hh"
 #include "nectarine/system.hh"
 #include "sim/coro.hh"
+#include "sim/parse.hh"
 
 using namespace nectar;
 using namespace nectar::fault;
@@ -27,8 +30,11 @@ using namespace sim::ticks;
 int
 main(int argc, char **argv)
 {
-    std::uint64_t seed = argc > 1 ? std::strtoull(argv[1], nullptr, 0)
-                                  : 1234;
+    std::uint64_t seed = 1234;
+    if (argc > 1 && !sim::parseWhole(argv[1], seed)) {
+        std::fprintf(stderr, "%s: bad seed: '%s'\n", argv[0], argv[1]);
+        return 2;
+    }
 
     // Two HUBs joined by parallel links on ports 10 and 11 — the
     // redundancy gives the router somewhere to go when a link dies.

@@ -35,36 +35,35 @@ Cab::sendReady()
     tx->sendStolen(WireItem::ready());
 }
 
-std::vector<WireItem>
-Cab::framePacket(phys::Payload payload)
+void
+Cab::framePacket(const phys::Payload &payload,
+                 std::vector<WireItem> &frame) const
 {
-    std::vector<WireItem> items;
     auto size = static_cast<std::uint32_t>(payload.size());
-    items.reserve(2 + size / cfg.chunkBytes + 1);
-    items.push_back(WireItem::startPacket());
+    frame.push_back(WireItem::startPacket());
     for (std::uint32_t off = 0; off < size; off += cfg.chunkBytes) {
         std::uint32_t len = std::min(cfg.chunkBytes, size - off);
-        items.push_back(WireItem::dataChunk(payload, off, len));
+        frame.push_back(WireItem::dataChunk(payload, off, len));
     }
-    items.push_back(WireItem::endPacket());
-    return items;
+    frame.push_back(WireItem::endPacket());
 }
 
 void
-Cab::dmaSend(std::vector<WireItem> items, sim::EventFn onDone)
+Cab::dmaSend(std::vector<WireItem> &items, sim::EventFn onDone)
 {
     if (!tx)
         sim::panic(name() + ": dmaSend with no fiber attached");
 
     std::uint64_t data_bytes = 0;
     bool has_sop = false;
-    for (const auto &item : items) {
+    for (auto &item : items) {
         if (item.kind == ItemKind::data)
             data_bytes += item.dataLen;
         if (item.kind == ItemKind::startOfPacket)
             has_sop = true;
-        tx->send(item);
+        tx->send(std::move(item));
     }
+    items.clear();
     // DMA gathers the packet out of data memory (Section 6.2.1).
     if (data_bytes > 0) {
         mem.account(Accessor::fiberOutDma, data_bytes);
@@ -115,9 +114,7 @@ Cab::fiberDeliver(WireItem item, Tick firstByte, Tick lastByte)
             // recovers by retransmission (Section 6.2.1).
             _stats.framingErrors.add();
         }
-        std::uint64_t gen = rx.generation;
-        rx = RxState{};
-        rx.generation = gen + 1;
+        rx.reset(rx.generation + 1);
         rx.inPacket = true;
         rx.queuedBytes = 1;
         if (onPacketStart)
@@ -157,9 +154,7 @@ Cab::fiberDeliver(WireItem item, Tick firstByte, Tick lastByte)
         rx.eopSeen = true;
         if (rx.overflowed) {
             _stats.rxDropped.add();
-            std::uint64_t gen = rx.generation;
-            rx = RxState{};
-            rx.generation = gen;
+            rx.reset(rx.generation);
             if (onPacketDropped)
                 onPacketDropped();
             return;
@@ -216,9 +211,7 @@ Cab::completeRx()
     auto view = std::move(rx.buf);
     bool corrupted = rx.corrupted;
     view.markCorrupted(corrupted);
-    std::uint64_t gen = rx.generation;
-    rx = RxState{};
-    rx.generation = gen;
+    rx.reset(rx.generation);
     if (onPacketComplete)
         onPacketComplete(std::move(view), corrupted);
 }

@@ -20,7 +20,6 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <vector>
 
@@ -99,12 +98,16 @@ class Cab : public sim::Component, public phys::FiberSink
      * transfers between the incoming and outgoing fibers and CAB
      * memory" (Section 5.1): transmission proceeds without the CPU;
      * @p onDone fires when the last byte has been serialized.
+     *
+     * The items are moved onto the fiber and @p items is left empty,
+     * its capacity kept for the caller's next frame.
      */
-    void dmaSend(std::vector<phys::WireItem> items,
+    void dmaSend(std::vector<phys::WireItem> &items,
                  sim::EventFn onDone = {});
 
-    /** Convenience: split @p payload into chunks between SOP/EOP. */
-    std::vector<phys::WireItem> framePacket(phys::Payload payload);
+    /** Append @p payload to @p frame: SOP, data chunks, EOP. */
+    void framePacket(const phys::Payload &payload,
+                     std::vector<phys::WireItem> &frame) const;
 
     // ----- Receive path ---------------------------------------------
 
@@ -172,6 +175,18 @@ class Cab : public sim::Component, public phys::FiberSink
         std::uint64_t generation = 0;
         sim::PacketView buf;
         std::vector<phys::WireItem> pending;
+
+        /** Start over as packet @p gen; pending keeps its capacity. */
+        void
+        reset(std::uint64_t gen)
+        {
+            inPacket = accepted = overflowed = corrupted = eopSeen =
+                false;
+            queuedBytes = 0;
+            generation = gen;
+            buf = sim::PacketView{};
+            pending.clear();
+        }
     };
 
     void completeRx();

@@ -52,7 +52,7 @@ get32(const std::uint8_t *p)
 sim::PacketView
 makeCollectiveMessage(const WireHeader &h, sim::PacketView payload)
 {
-    auto hdr = sim::BufferArena::instance().acquire(WireHeader::wireSize);
+    std::vector<std::uint8_t> hdr(WireHeader::wireSize, 0);
     put32(&hdr[0], h.gid);
     put16(&hdr[4], h.epoch);
     put16(&hdr[6], h.srcRank);
@@ -60,8 +60,8 @@ makeCollectiveMessage(const WireHeader &h, sim::PacketView payload)
     hdr[12] = static_cast<std::uint8_t>(h.kind);
     hdr[13] = h.param;
     put16(&hdr[14], h.reserved);
-    return sim::PacketView::concat(
-        sim::PacketView(sim::Buffer::adopt(std::move(hdr))), payload);
+    return sim::PacketView::concat(sim::PacketView(std::move(hdr)),
+                                   payload);
 }
 
 std::optional<std::pair<WireHeader, sim::PacketView>>

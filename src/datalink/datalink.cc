@@ -80,10 +80,10 @@ void
 Datalink::handleReadySignal()
 {
     _hubReady = true;
-    auto waiters = std::move(readyWaiters);
-    readyWaiters.clear();
-    for (auto *ch : waiters)
+    // push() only schedules the wake, so nothing re-enters the list.
+    for (auto *ch : readyWaiters)
         ch->push(true);
+    readyWaiters.clear();
 }
 
 // --------------------------------------------------------------------
@@ -143,28 +143,25 @@ Datalink::waitReplies(int need)
 }
 
 sim::Task<void>
-Datalink::dmaSendAwait(std::vector<phys::WireItem> items)
+Datalink::dmaSendAwait()
 {
     sim::Channel<bool> done(eventq());
-    board().dmaSend(std::move(items), [&done] { done.push(true); });
+    board().dmaSend(frame, [&done] { done.push(true); });
     co_await done.pop();
 }
 
-std::vector<WireItem>
+void
 Datalink::buildPacketFrame(const topo::Route &route,
                            const phys::Payload &payload)
 {
-    std::vector<WireItem> items;
     for (const auto &hop : route) {
-        items.push_back(WireItem::command(
+        frame.push_back(WireItem::command(
             static_cast<std::uint8_t>(Op::testOpenRetry), hop.hubId,
             static_cast<std::uint8_t>(hop.outPort)));
     }
-    auto frame = board().framePacket(payload);
-    items.insert(items.end(), frame.begin(), frame.end());
-    items.push_back(WireItem::command(
+    board().framePacket(payload, frame);
+    frame.push_back(WireItem::command(
         static_cast<std::uint8_t>(Op::closeAll), 0, 0));
-    return items;
 }
 
 sim::Task<void>
@@ -201,9 +198,9 @@ Datalink::attemptSend(const topo::Route &route,
         co_return false; // ready signal lost; recover and retry
 
     if (mode == SwitchMode::packet) {
-        std::vector<WireItem> items = buildPacketFrame(route, payload);
+        buildPacketFrame(route, payload);
         _hubReady = false; // our SOP will pass the HUB's port
-        co_await dmaSendAwait(std::move(items));
+        co_await dmaSendAwait();
         co_return true;
     }
 
@@ -223,11 +220,11 @@ Datalink::attemptSend(const topo::Route &route,
         co_return false;
 
     // Route confirmed: stream the data and close behind it.
-    auto items = board().framePacket(payload);
-    items.push_back(WireItem::command(
+    board().framePacket(payload, frame);
+    frame.push_back(WireItem::command(
         static_cast<std::uint8_t>(Op::closeAll), 0, 0));
     _hubReady = false;
-    co_await dmaSendAwait(std::move(items));
+    co_await dmaSendAwait();
     co_return true;
 }
 

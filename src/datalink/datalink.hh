@@ -165,13 +165,13 @@ class Datalink : public sim::Component
      */
     sim::Task<bool> waitReplies(int need);
 
-    /** Build the wire items for a whole packet-switched frame. */
-    std::vector<phys::WireItem>
-    buildPacketFrame(const topo::Route &route,
-                     const phys::Payload &payload);
+    /** Build the wire items of a whole packet-switched frame into
+     *  @ref frame. */
+    void buildPacketFrame(const topo::Route &route,
+                          const phys::Payload &payload);
 
-    /** Await DMA completion of @p items. */
-    sim::Task<void> dmaSendAwait(std::vector<phys::WireItem> items);
+    /** DMA @ref frame onto the fiber and await its completion. */
+    sim::Task<void> dmaSendAwait();
 
     // Hardware interrupt handlers.
     void handlePacketStart();
@@ -185,6 +185,10 @@ class Datalink : public sim::Component
     DatalinkStats _stats;
 
     sim::AsyncMutex txMutex;
+
+    /** The frame being transmitted.  Transmissions hold txMutex, so
+     *  one buffer serves them all and keeps its capacity. */
+    std::vector<phys::WireItem> frame;
 
     // Reply-waiting state: a fresh channel per wait; stale replies
     // arriving outside a wait (or during settle) are discarded.

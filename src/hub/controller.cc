@@ -31,11 +31,8 @@ CentralController::submit(const phys::CommandWord &cmd, PortId arrival)
 void
 CentralController::abandonFrom(PortId arrival)
 {
-    q.erase(std::remove_if(q.begin(), q.end(),
-                           [arrival](const Pending &p) {
-                               return p.arrival == arrival;
-                           }),
-            q.end());
+    q.eraseIf(
+        [arrival](const Pending &p) { return p.arrival == arrival; });
     // `running` is left alone: any scheduled tick finds the queue
     // empty and stands down on its own.
 }
@@ -58,8 +55,9 @@ CentralController::tick()
             break;
         }
         earliest = std::min(earliest, q.front().notBefore);
-        q.push_back(q.front());
+        Pending deferred = q.front();
         q.pop_front();
+        q.push_back(deferred);
     }
 
     if (!found) {

@@ -14,11 +14,11 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
 
 #include "hub/crossbar.hh"
 #include "phys/wire.hh"
 #include "sim/component.hh"
+#include "sim/fifo.hh"
 
 namespace nectar::hub {
 
@@ -91,7 +91,7 @@ class CentralController : public sim::Component
 
     Hub &hub;
     Tick cycle;
-    std::deque<Pending> q;
+    sim::Fifo<Pending> q;
     bool running = false;
     std::uint64_t _cyclesUsed = 0;
     std::uint64_t _retries = 0;

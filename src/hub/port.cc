@@ -279,9 +279,9 @@ IoPort::forwardHead(const std::vector<PortId> &outputs)
     if (t > now())
         return t;
 
-    // Forward now.  Copy the head so the queue can be popped before
+    // Forward now.  Take the head so the queue can be popped before
     // transmission side effects run.
-    Queued head_copy = q.front();
+    Queued head_copy = std::move(q.front());
     qBytes -= head_copy.item.byteLength();
     q.pop_front();
 

@@ -19,11 +19,10 @@
 
 #pragma once
 
-#include <deque>
-
 #include "hub/crossbar.hh"
 #include "phys/fiber.hh"
 #include "sim/component.hh"
+#include "sim/fifo.hh"
 
 namespace nectar::hub {
 
@@ -136,7 +135,7 @@ class IoPort : public sim::Component, public phys::FiberSink
     PortId _id;
     phys::FiberLink *out = nullptr;
 
-    std::deque<Queued> q;
+    sim::Fifo<Queued> q;
     std::uint32_t qBytes = 0;
     std::uint32_t qCapacity;
 

@@ -184,7 +184,7 @@ FiberLink::send(WireItem item)
     // transmission starts; the last after the full serialization.
     const Tick firstByte = start + byteTime + propDelay;
     const Tick lastByte = _busyUntil + propDelay;
-    deliver(std::move(item), firstByte, lastByte);
+    deliver(queued, std::move(item), firstByte, lastByte);
 }
 
 void
@@ -206,16 +206,23 @@ FiberLink::sendStolen(WireItem item)
         static_cast<Tick>(item.byteLength()) * byteTime;
     const Tick firstByte = now() + byteTime + propDelay;
     const Tick lastByte = now() + duration + propDelay;
-    deliver(std::move(item), firstByte, lastByte);
+    deliver(stolen, std::move(item), firstByte, lastByte);
 }
 
 void
-FiberLink::deliver(WireItem item, Tick firstByte, Tick lastByte)
+FiberLink::deliver(Lane lane, WireItem item, Tick firstByte,
+                   Tick lastByte)
 {
+    inFlight[lane].push_back(
+        InFlight{std::move(item), firstByte, lastByte});
     eventq().schedule(
         firstByte,
-        [this, item = std::move(item), firstByte, lastByte]() mutable {
-            sink->fiberDeliver(std::move(item), firstByte, lastByte);
+        [this, lane] {
+            auto &fifo = inFlight[lane];
+            InFlight f = std::move(fifo.front());
+            fifo.pop_front();
+            sink->fiberDeliver(std::move(f.item), f.firstByte,
+                               f.lastByte);
         },
         sim::EventPriority::hardware);
 }

@@ -25,6 +25,7 @@
 
 #include "phys/wire.hh"
 #include "sim/component.hh"
+#include "sim/fifo.hh"
 #include "sim/random.hh"
 #include "sim/stats.hh"
 
@@ -215,7 +216,29 @@ class FiberLink : public sim::Component
      */
     bool burstAdvance(std::int64_t slots);
 
-    void deliver(WireItem item, Tick firstByte, Tick lastByte);
+    /** An item between its send and its first byte's arrival. */
+    struct InFlight
+    {
+        WireItem item;
+        Tick firstByte;
+        Tick lastByte;
+    };
+
+    /** Transmitter lanes: send() queues behind traffic, sendStolen()
+     *  overtakes it, so each keeps its own in-flight FIFO. */
+    enum Lane { queued = 0, stolen = 1 };
+
+    /** Put @p item in flight on @p lane and schedule its arrival. */
+    void deliver(Lane lane, WireItem item, Tick firstByte,
+                 Tick lastByte);
+
+    /**
+     * In-flight items, one FIFO per lane, so an arrival event
+     * captures only the link and the lane.  A lane's first-byte ticks
+     * never decrease and same-tick hardware events fire in schedule
+     * order, so each arrival pops its own item.
+     */
+    sim::Fifo<InFlight> inFlight[2];
 
     FiberSink *sink = nullptr;
     Tick propDelay;

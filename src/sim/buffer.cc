@@ -6,68 +6,6 @@
 
 namespace nectar::sim {
 
-// --------------------------------------------------------------------
-// BufferArena.
-// --------------------------------------------------------------------
-
-BufferArena &
-BufferArena::instance()
-{
-    // Leaked on purpose: Buffers held by static state may be
-    // destroyed after a function-local static arena would be, and
-    // their destructors recycle into the arena.  The static pointer
-    // keeps the leaked arena reachable for LeakSanitizer.
-    // nectar-lint: global-ok process-wide recycling arena
-    static BufferArena *arena = new BufferArena;
-    return *arena;
-}
-
-std::vector<std::uint8_t>
-BufferArena::acquire(std::size_t n)
-{
-    if (n > 0 && n <= maxPoolableSize) {
-        auto it = free_.find(n);
-        if (it != free_.end() && !it->second.empty()) {
-            auto v = std::move(it->second.back());
-            it->second.pop_back();
-            SIM_INVARIANT(pooled_ > 0,
-                          "arena pooled count matches its freelists");
-            --pooled_;
-            ++_stats.hits;
-            // Same contract as a fresh vector: zero-filled (header
-            // encoding checksums bytes it has not yet written).
-            std::fill(v.begin(), v.end(), std::uint8_t(0));
-            return v;
-        }
-    }
-    ++_stats.misses;
-    accountAlloc();
-    return std::vector<std::uint8_t>(n, 0);
-}
-
-void
-BufferArena::recycle(std::vector<std::uint8_t> &&bytes)
-{
-    std::size_t n = bytes.size();
-    if (n == 0 || n > maxPoolableSize || pooled_ >= maxPooled) {
-        ++_stats.dropped;
-        return;
-    }
-    auto &list = free_[n];
-    if (list.size() >= maxPerSize) {
-        ++_stats.dropped;
-        return;
-    }
-    list.push_back(std::move(bytes));
-    ++pooled_;
-    ++_stats.recycled;
-}
-
-Buffer::~Buffer()
-{
-    BufferArena::instance().recycle(std::move(bytes_));
-}
-
 void
 PacketView::checkRep() const
 {

@@ -33,10 +33,10 @@
 #include <cstdint>
 #include <cstring>
 #include <limits>
-#include <map>
 #include <memory>
 #include <vector>
 
+#include "small_vector.hh"
 #include "stats.hh"
 
 namespace nectar::sim {
@@ -45,76 +45,6 @@ class Buffer;
 
 /** Shared ownership of one immutable byte region. */
 using BufferRef = std::shared_ptr<const Buffer>;
-
-/**
- * A freelist-backed arena recycling the byte vectors behind Buffers.
- *
- * The zero-copy packet path eliminated per-message byte copies; the
- * dominant remaining per-message cost is allocating the (usually
- * 32-byte) header buffer for every packet and ack.  The arena keeps
- * exact-size freelists of retired vectors: acquire() reuses a
- * recycled vector when one of the right size is available (a pool
- * hit, no fresh allocation, not counted in copyStats) and falls back
- * to a fresh allocation (a pool miss, counted) otherwise.
- *
- * This is host-level memory management only — it changes no
- * simulated state, so simulated timing is bit-identical with the
- * arena hot or cold.
- */
-class BufferArena
-{
-  public:
-    /** Pool-efficiency counters (host-level, not simulated). */
-    struct ArenaStats
-    {
-        std::uint64_t hits = 0;     ///< acquire() served from freelist.
-        std::uint64_t misses = 0;   ///< acquire() fell back to fresh.
-        std::uint64_t recycled = 0; ///< Vectors returned to freelists.
-        std::uint64_t dropped = 0;  ///< Returns refused (list full).
-
-        double
-        hitRate() const
-        {
-            auto total = hits + misses;
-            return total ? static_cast<double>(hits) / total : 0.0;
-        }
-    };
-
-    /** The process-wide arena (never destroyed: Buffers may outlive
-     *  static teardown order). */
-    static BufferArena &instance();
-
-    /**
-     * A vector of exactly @p n bytes (zero-filled): recycled when an
-     * exact-size entry is pooled, freshly allocated otherwise.  The
-     * accompanying accountAlloc() happens only on a miss — wrap the
-     * result with Buffer::adopt(), which does not count again.
-     */
-    std::vector<std::uint8_t> acquire(std::size_t n);
-
-    /** Return a retired vector's storage to its freelist. */
-    void recycle(std::vector<std::uint8_t> &&bytes);
-
-    const ArenaStats &stats() const { return _stats; }
-    void resetStats() { _stats = ArenaStats{}; }
-
-    /** Drop every pooled vector (bench isolation). */
-    void clear() { free_.clear(); pooled_ = 0; }
-
-  private:
-    /** Only common (small) sizes are pooled; bulk payload vectors
-     *  are freed normally so the arena stays bounded. */
-    static constexpr std::size_t maxPoolableSize = 4096;
-    /** Per-size freelist bound: beyond it, returns are dropped. */
-    static constexpr std::size_t maxPerSize = 1024;
-    /** Total pooled-vector bound across all sizes. */
-    static constexpr std::size_t maxPooled = 4096;
-
-    std::map<std::size_t, std::vector<std::vector<std::uint8_t>>>
-        free_;
-    std::size_t pooled_ = 0;
-    ArenaStats _stats;
-};
 
 /**
  * An immutable, reference-counted byte region.  Construct via make();
@@ -129,25 +59,11 @@ class Buffer
     {
     }
 
-    /** Retired buffers return their storage to the arena. */
-    ~Buffer();
-
     /** Take ownership of @p bytes (moved, not copied). */
     static BufferRef
     make(std::vector<std::uint8_t> bytes)
     {
         accountAlloc();
-        return std::make_shared<const Buffer>(std::move(bytes));
-    }
-
-    /**
-     * Wrap a vector obtained from BufferArena::acquire().  The
-     * allocation was already accounted there (on a pool miss only),
-     * so adopt() does not count again.
-     */
-    static BufferRef
-    adopt(std::vector<std::uint8_t> bytes)
-    {
         return std::make_shared<const Buffer>(std::move(bytes));
     }
 
@@ -164,13 +80,19 @@ class Buffer
 /**
  * A cheap view of packet bytes: an ordered chain of (buffer, offset,
  * length) segments.  Copying a PacketView copies segment descriptors
- * and bumps reference counts — never payload bytes.
+ * and bumps reference counts — never payload bytes.  The first
+ * inlineSegments descriptors live inside the view, so a payload or a
+ * header chained to its payload is sliced, chained and copied
+ * without a heap allocation.
  */
 class PacketView
 {
   public:
     static constexpr std::size_t npos =
         std::numeric_limits<std::size_t>::max();
+
+    /** Segments held without a heap allocation (header + payload). */
+    static constexpr std::size_t inlineSegments = 2;
 
     PacketView() = default;
 
@@ -324,7 +246,7 @@ class PacketView
      */
     void checkRep() const;
 
-    std::vector<Seg> segs_;
+    SmallVector<Seg, inlineSegments> segs_;
     std::size_t size_ = 0;
     bool corrupted_ = false;
 };

@@ -24,13 +24,19 @@
 #pragma once
 
 #include <coroutine>
-#include <deque>
+#include <cstddef>
 #include <exception>
+#include <new>
 #include <optional>
 #include <utility>
 #include <vector>
 
+#if defined(__SANITIZE_ADDRESS__)
+#include <sanitizer/asan_interface.h>
+#endif
+
 #include "event_queue.hh"
+#include "fifo.hh"
 #include "logging.hh"
 #include "types.hh"
 
@@ -40,6 +46,114 @@ template <typename T>
 class Task;
 
 namespace detail {
+
+/**
+ * Size-class freelists for coroutine frames.
+ *
+ * Every protocol step on the message path is a coroutine call
+ * (sendDatagram, transmitPacket, sendPacket, attemptSend, a mailbox
+ * get, ...), and each call makes a frame.  A destroyed frame waits on
+ * the freelist of its 64-byte size class and serves the next frame of
+ * that class, so the steady state allocates none.  The lists start
+ * empty and grow only to the most frames of a class ever alive at
+ * once; frames above maxPooledBytes go straight to the heap.  This is
+ * host memory only: no simulated behaviour depends on where a frame
+ * lives.
+ *
+ * Under AddressSanitizer a pooled block stays poisoned until it is
+ * handed out again, so touching a destroyed frame still reports a
+ * use-after-free.  Only the block's last word, its freelist link,
+ * stays readable: LeakSanitizer ignores pointers in poisoned memory
+ * and would otherwise report every pooled block but the first.
+ */
+class FramePool
+{
+  public:
+    static void *
+    allocate(std::size_t n)
+    {
+        if (n > maxPooledBytes)
+            return ::operator new(n);
+        const std::size_t bytes = classBytes(n);
+        void *&head = lists[classOf(n)];
+        if (void *b = head) {
+            head = next(b, bytes);
+            unpoison(b, bytes - sizeof(void *));
+            return b;
+        }
+        return ::operator new(bytes);
+    }
+
+    static void
+    release(void *p, std::size_t n) noexcept
+    {
+        if (n > maxPooledBytes) {
+            ::operator delete(p);
+            return;
+        }
+        const std::size_t bytes = classBytes(n);
+        void *&head = lists[classOf(n)];
+        next(p, bytes) = head;
+        head = p;
+        poison(p, bytes - sizeof(void *));
+    }
+
+  private:
+    static constexpr std::size_t granule = 64;
+    static constexpr std::size_t maxPooledBytes = 2048;
+
+    static std::size_t classOf(std::size_t n) { return (n - 1) / granule; }
+
+    static std::size_t
+    classBytes(std::size_t n)
+    {
+        return (classOf(n) + 1) * granule;
+    }
+
+    /** A pooled block's link to the next: its last word. */
+    static void *&
+    next(void *block, std::size_t bytes)
+    {
+        return *reinterpret_cast<void **>(static_cast<char *>(block) +
+                                          bytes - sizeof(void *));
+    }
+
+    static void
+    poison([[maybe_unused]] void *p, [[maybe_unused]] std::size_t n)
+    {
+#if defined(__SANITIZE_ADDRESS__)
+        ASAN_POISON_MEMORY_REGION(p, n);
+#endif
+    }
+
+    static void
+    unpoison([[maybe_unused]] void *p, [[maybe_unused]] std::size_t n)
+    {
+#if defined(__SANITIZE_ADDRESS__)
+        ASAN_UNPOISON_MEMORY_REGION(p, n);
+#endif
+    }
+
+    // nectar-lint: global-ok host-side frame freelists; no
+    // simulated state reads them
+    static inline void *lists[maxPooledBytes / granule] = {};
+};
+
+/** Coroutine frames of promise types deriving from this come from
+ *  the FramePool. */
+struct PooledFrame
+{
+    static void *operator new(std::size_t n)
+    {
+        return FramePool::allocate(n);
+    }
+
+    static void
+    operator delete(void *p, std::size_t n) noexcept
+    {
+        FramePool::release(p, n);
+    }
+};
 
 /** Resumes the awaiting coroutine when the awaited task finishes. */
 struct FinalAwaiter
@@ -57,7 +171,7 @@ struct FinalAwaiter
     void await_resume() const noexcept {}
 };
 
-struct PromiseBase
+struct PromiseBase : PooledFrame
 {
     std::coroutine_handle<> continuation;
     std::exception_ptr error;
@@ -229,7 +343,7 @@ namespace detail {
 /** Self-destroying eager wrapper used by spawn(). */
 struct Detached
 {
-    struct promise_type
+    struct promise_type : PooledFrame
     {
         /** Position in the live-frame registry (swap-erased). */
         std::size_t regIndex = 0;
@@ -449,8 +563,10 @@ class Channel
     }
 
     EventQueue &eq;
-    std::deque<T> values;
-    std::deque<std::coroutine_handle<>> waiting;
+    // Inline room for one of each: the common channel carries one
+    // value to one waiter and then dies, allocating nothing.
+    Fifo<T, 1> values;
+    Fifo<std::coroutine_handle<>, 1> waiting;
 };
 
 /**
@@ -518,7 +634,7 @@ class AsyncMutex
   private:
     EventQueue &eq;
     bool _locked = false;
-    std::deque<std::coroutine_handle<>> waiting;
+    Fifo<std::coroutine_handle<>, 1> waiting;
 };
 
 } // namespace nectar::sim

@@ -39,10 +39,11 @@ class EventFn
     /**
      * Captures up to this many bytes are stored inline in the event
      * node; beyond it the callable is heap-allocated (and counted).
-     * 48 bytes = a this-pointer plus five 64-bit words — roomy enough
-     * for most schedule sites.  FiberLink::deliver's capture (a
-     * WireItem and two ticks, 88 bytes) is the known exception;
-     * test_footprint bounds its fallbacks per round trip.
+     * 48 bytes = a this-pointer plus five 64-bit words.  A site with
+     * more state keeps it in its component and captures a handle
+     * (FiberLink's in-flight FIFOs, Transport::rxWork), so no capture
+     * on the message path outgrows it; test_footprint gates the
+     * fallbacks per round trip at zero.
      */
     static constexpr std::size_t sboBytes = 48;
 

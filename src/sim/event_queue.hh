@@ -30,6 +30,8 @@
  *    can never be confused with a stale handle.
  *  - Callbacks are sim::EventFn (small-buffer optimized): the
  *    steady-state schedule/fire path performs zero heap allocations.
+ *    The model's own captures fit too, so a message crossing the
+ *    simulated network spills no event to the heap (test_footprint).
  *
  * The firing order — and therefore the event-trace fingerprint — is
  * bit-identical to the seed engine's (tests/test_golden_fingerprint).

@@ -70,9 +70,10 @@ void debugLog(const std::string &msg);
 
 /**
  * Check an internal invariant, panicking with a message if it fails.
+ * The message is a literal, so a passing check builds no string.
  */
 inline void
-simAssert(bool cond, const std::string &msg)
+simAssert(bool cond, const char *msg)
 {
     if (!cond)
         panic(msg);

@@ -62,9 +62,9 @@ encodePacket(Header h, const sim::PacketView &payload)
 {
     h.length = static_cast<std::uint16_t>(payload.size());
 
-    // The header is the one fresh allocation per packet; drawing it
-    // from the arena turns the steady-state cost into a pool hit.
-    auto hdr = sim::BufferArena::instance().acquire(Header::wireSize);
+    // nectar-lint: copy-ok the header's own bytes, written once
+    // here; the payload is chained behind them, not copied
+    std::vector<std::uint8_t> hdr(Header::wireSize, 0);
     put8(hdr, 0, static_cast<std::uint8_t>(h.protocol));
     put8(hdr, 1, h.flags);
     put16(hdr, 2, h.srcCab);
@@ -82,8 +82,8 @@ encodePacket(Header h, const sim::PacketView &payload)
     // payload is streamed segment by segment, never copied.
     put16(hdr, 30, packetChecksum(hdr.data(), payload));
 
-    return sim::PacketView::concat(
-        sim::PacketView(sim::Buffer::adopt(std::move(hdr))), payload);
+    return sim::PacketView::concat(sim::PacketView(std::move(hdr)),
+                                   payload);
 }
 
 std::optional<Header>

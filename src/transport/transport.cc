@@ -135,19 +135,19 @@ struct FlowWait
 void
 Transport::wakeFlow(SenderFlow &flow)
 {
-    auto waiters = std::move(flow.waiters);
-    flow.waiters.clear();
-    for (auto h : waiters) {
+    // Both wakes only schedule, so nothing re-enters the lists, and
+    // clearing them in place keeps their capacity.
+    for (auto h : flow.waiters) {
         // Zero-delay continuation: the sender parked on this flow
         // resumes ahead of any same-tick arrivals still queued.
         eventq().scheduleAtFront([h] { h.resume(); });
     }
+    flow.waiters.clear();
     // Multicast senders watch several flows at once through a
     // channel; signal and clear (they re-register per wait).
-    auto watchers = std::move(flow.watchers);
-    flow.watchers.clear();
-    for (auto *w : watchers)
+    for (auto *w : flow.watchers)
         w->push(true);
+    flow.watchers.clear();
 }
 
 void
@@ -627,14 +627,20 @@ Transport::handlePacket(sim::PacketView &&packet, bool corrupted)
     }
 
     // Charge the receive-path CPU cost, then process.  The payload
-    // view is captured by value: segment descriptors and refcounts,
-    // no payload bytes.
-    Header h = *header;
+    // view waits in rxWork: segment descriptors and refcounts, no
+    // payload bytes.
+    rxWork.push_back(RxWork{*header, std::move(payload)});
     _kernel.board().cpu().chargeThen(
         _kernel.costs().transportRecvPerPacket,
-        [this, h, payload = std::move(payload)]() mutable {
-            processPacket(h, std::move(payload));
-        });
+        [this] { processNextPacket(); });
+}
+
+void
+Transport::processNextPacket()
+{
+    RxWork w = std::move(rxWork.front());
+    rxWork.pop_front();
+    processPacket(w.header, std::move(w.payload));
 }
 
 void

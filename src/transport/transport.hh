@@ -35,6 +35,7 @@
 #include "datalink/datalink.hh"
 #include "sim/component.hh"
 #include "sim/coro.hh"
+#include "sim/fifo.hh"
 #include "transport/directory.hh"
 #include "transport/header.hh"
 #include "transport/probe.hh"
@@ -374,6 +375,8 @@ class Transport : public sim::Component
     // Receive path.  Payloads are zero-copy slices of the received
     // packet; reassembly chains them without materializing.
     void handlePacket(sim::PacketView &&packet, bool corrupted);
+    /** Process the oldest packet waiting for its receive-path CPU. */
+    void processNextPacket();
     void processPacket(const Header &h, sim::PacketView &&payload);
     void handleStreamData(const Header &h, sim::PacketView &&payload);
     void handleAck(const Header &h);
@@ -419,6 +422,17 @@ class Transport : public sim::Component
     TransportConfig cfg;
     TransportStats _stats;
     DeliveryProbe *probe = nullptr;
+
+    /** A decoded packet waiting for its receive-path CPU charge. */
+    struct RxWork
+    {
+        Header header;
+        sim::PacketView payload;
+    };
+    /** Packets in receive processing.  The CPU completes charged work
+     *  in FIFO order, so each completion event pops its own packet
+     *  and captures only `this`. */
+    sim::Fifo<RxWork> rxWork;
 
     std::map<std::uint64_t, std::unique_ptr<SenderFlow>> senders;
     std::map<std::uint64_t, ReceiverFlow> receivers;

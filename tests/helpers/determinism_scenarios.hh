@@ -56,7 +56,6 @@ packetPipelineOnce(std::uint32_t totalBytes)
     using sim::Task;
 
     sim::copyStats().reset();
-    sim::BufferArena::instance().resetStats();
     sim::EventQueue eq;
     auto sys = nectarine::NectarSystem::singleHub(eq, 2);
     node::Node src(eq, "src"), dst(eq, "dst");

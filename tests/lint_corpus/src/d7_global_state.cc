@@ -78,4 +78,7 @@ calls()
     return ++n;
 }
 
+sim::Random rng(42);                      // parenthesised initializer
+std::vector<int> seen(16, 0);             // ditto, after a template
+
 } // namespace fake

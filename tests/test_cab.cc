@@ -364,9 +364,10 @@ TEST_F(CabDatapath, DmaSendSerializesAtFiberRate)
 {
     auto payload = phys::makePayload(
         std::vector<std::uint8_t>(1000, 0xAA));
-    auto items = board.framePacket(payload);
+    std::vector<WireItem> items;
+    board.framePacket(payload, items);
     Tick done_at = -1;
-    board.dmaSend(std::move(items), [&] { done_at = eq.now(); });
+    board.dmaSend(items, [&] { done_at = eq.now(); });
     eq.run();
     // SOP(1) + 1000 data + EOP(1) = 1002 bytes at 80 ns/byte.
     EXPECT_EQ(done_at, 1002 * 80);

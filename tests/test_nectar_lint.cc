@@ -10,14 +10,19 @@
  * packet-path filter).
  */
 
+#include <filesystem>
+#include <fstream>
+#include <sstream>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include "lint.hh"
 
+using nectar::lint::collectSources;
 using nectar::lint::Finding;
 using nectar::lint::lintFile;
 using nectar::lint::lintSource;
@@ -166,7 +171,10 @@ TEST(LintSource, AnnotationCoversNextCodeLine)
 
 TEST(LintSource, PacketPathFilterGatesD3)
 {
-    std::string src = "std::vector<std::uint8_t> held(64, 0);\n";
+    // A local: at namespace scope under src/, D7 reads `held(64, 0)`
+    // as a mutable global too.
+    std::string src =
+        "void f() { std::vector<std::uint8_t> held(64, 0); }\n";
     EXPECT_TRUE(lintSource("src/workload/w.cc", src).empty());
     auto found = ruleLines(lintSource("src/transport/t.cc", src));
     EXPECT_EQ(found, (Expected{{"D3", 1}}));
@@ -252,9 +260,9 @@ TEST(LintCorpus, D7GlobalStateFires)
     // function-local statics (one in a const member function),
     // namespace-scope variables with no storage keyword (named and
     // anonymous namespaces), an out-of-line static data member
-    // definition, and constinit and thread_local variables at every
-    // scope; const/constexpr and the annotated declaration stay
-    // silent.
+    // definition, constinit and thread_local variables at every
+    // scope, and variables initialised in parentheses; const/constexpr
+    // and the annotated declaration stay silent.
     EXPECT_EQ(lintCorpus("src/d7_global_state.cc"),
               (Expected{{"D7", 8},
                         {"D7", 9},
@@ -271,7 +279,9 @@ TEST(LintCorpus, D7GlobalStateFires)
                         {"D7", 66},
                         {"D7", 70},
                         {"D7", 71},
-                        {"D7", 77}}));
+                        {"D7", 77},
+                        {"D7", 81},
+                        {"D7", 82}}));
 }
 
 TEST(LintSource, D7AppliesOnlyUnderSimulationDirs)
@@ -328,6 +338,20 @@ TEST(LintSource, D7NamespaceScopeFunctionsAndTypesPass)
               (Expected{{"D7", 14}}));
 }
 
+TEST(LintSource, D7FunctionDeclarationsPassParenthesisedGlobalsFire)
+{
+    // A parameter list never starts with a numeric literal, so `(42`
+    // is an initializer; declarations with parameters or none pass.
+    std::string src = "namespace n {\n"
+                      "int f(int);\n"
+                      "void g();\n"
+                      "sim::Random rng(42);\n"
+                      "std::vector<int> seen(16, 0);\n"
+                      "} // namespace n\n";
+    EXPECT_EQ(ruleLines(lintSource("src/sim/s.cc", src)),
+              (Expected{{"D7", 4}, {"D7", 5}}));
+}
+
 TEST(LintSource, RetiredTagsFailA1)
 {
     // mediated-ok and foreign-ref-ok waived the retired access-graph
@@ -338,4 +362,56 @@ TEST(LintSource, RetiredTagsFailA1)
                       "int b = 0;\n";
     EXPECT_EQ(ruleLines(lintSource("x.cc", src)),
               (Expected{{"A1", 1}, {"A1", 3}}));
+}
+
+// --------------------------------------------------------------------
+// Rule scopes: the path below the linted directory.
+// --------------------------------------------------------------------
+
+TEST(LintPaths, DirectoriesAboveTheArgumentScopeNoRule)
+{
+    // A checkout under a directory named src (or hub) must lint as
+    // any other: the D3 and D7 fixtures fire under the checkout's
+    // src/ exactly as they do at an ordinary path, and not at all
+    // under its tests/.
+    namespace fs = std::filesystem;
+    const fs::path corpus(NECTAR_LINT_CORPUS_DIR);
+    const fs::path tmp = fs::path(testing::TempDir()) /
+        ("nectar-lint-scope-" + std::to_string(::getpid()));
+    fs::remove_all(tmp);
+    const std::pair<const char *, const char *> placed[] = {
+        {"hub/d3_copies.cc", "src/hub/d3_copies.cc"},
+        {"src/d7_global_state.cc", "src/sim/d7_global_state.cc"},
+        {"hub/d3_copies.cc", "tests/d3_copies.cc"},
+        {"src/d7_global_state.cc", "tests/d7_global_state.cc"},
+    };
+    for (const char *parent : {"src", "hub"}) {
+        const fs::path checkout = tmp / parent / "nectar";
+        for (const auto &[fixture, where] : placed) {
+            fs::create_directories((checkout / where).parent_path());
+            fs::copy_file(corpus / fixture, checkout / where);
+        }
+        for (const auto &[arg, total] :
+             {std::pair<const char *, std::size_t>{"src", 3 + 18},
+              {"tests", 0}}) {
+            std::size_t found = 0;
+            for (const auto &file :
+                 collectSources((checkout / arg).string())) {
+                const std::string ordinary =
+                    fs::path(file.path)
+                        .lexically_relative(checkout)
+                        .generic_string();
+                std::ifstream in(file.path);
+                std::stringstream text;
+                text << in.rdbuf();
+                const auto findings = ruleLines(lintFile(file));
+                EXPECT_EQ(findings,
+                          ruleLines(lintSource(ordinary, text.str())))
+                    << parent << "/nectar/" << ordinary;
+                found += findings.size();
+            }
+            EXPECT_EQ(found, total) << parent << "/nectar/" << arg;
+        }
+    }
+    fs::remove_all(tmp);
 }

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cctype>
+#include <filesystem>
 #include <fstream>
 #include <map>
 #include <regex>
@@ -15,14 +16,60 @@ namespace nectar::lint {
 
 namespace {
 
-/** Path substrings marking the zero-copy packet path, where D3 applies. */
+/** Directories of the zero-copy packet path, where D3 applies. */
 constexpr const char *packetPathDirs[] = {
-    "/phys/", "/hub/", "/datalink/", "/transport/", "/cab/",
+    "phys", "hub", "datalink", "transport", "cab",
 };
 
-/** Path substring marking simulation code, where D7 applies (tools
- *  and tests may keep process-wide state). */
-constexpr const char *simulationDir = "src/";
+/** The directory of simulation code, where D7 applies (tools and
+ *  tests may keep process-wide state). */
+constexpr const char *simulationDir = "src";
+
+/** True when a directory component of @p scope is named @p dir. */
+bool
+underDir(const std::string &scope, const char *dir)
+{
+    std::size_t begin = 0;
+    for (std::size_t end = scope.find('/'); end != std::string::npos;
+         begin = end + 1, end = scope.find('/', begin))
+        if (scope.compare(begin, end - begin, dir) == 0)
+            return true;
+    return false;
+}
+
+bool
+isSourceFile(const std::filesystem::path &p)
+{
+    static const std::set<std::string> exts = {
+        ".cc", ".hh", ".cpp", ".hpp", ".h", ".cxx",
+    };
+    return exts.count(p.extension().string()) > 0;
+}
+
+bool
+skippedDir(const std::filesystem::path &p)
+{
+    std::string name = p.filename().string();
+    return name.empty() || name.front() == '.' ||
+           name.rfind("build", 0) == 0 || name == "lint_corpus" ||
+           name == "CMakeFiles" || name == "Testing";
+}
+
+/** The path a directory argument's files are scoped under: the
+ *  argument as given when it is a plain relative path, otherwise its
+ *  own name alone. */
+std::filesystem::path
+scopeRoot(const std::filesystem::path &dir)
+{
+    auto normal = [](const std::filesystem::path &p) {
+        std::filesystem::path n = p.lexically_normal();
+        return n.has_filename() ? n : n.parent_path();
+    };
+    std::filesystem::path base = normal(dir);
+    if (base.is_relative() && !base.empty() && *base.begin() != "..")
+        return base;
+    return normal(std::filesystem::absolute(dir)).filename();
+}
 
 // --------------------------------------------------------------------
 // D1 — wall-clock time and unseeded randomness.
@@ -426,7 +473,9 @@ struct Declaration
 /**
  * Parse the declaration starting at @p begin: scan to the first of
  * ';', '=', '{' (a variable) or '(' (a function, unless it opens a
- * function-pointer declarator like `void (*f)() = nullptr`).
+ * function-pointer declarator like `void (*f)() = nullptr`, or an
+ * initializer list that starts with a numeric literal like
+ * `Random rng(42)`: a parameter list never does).
  */
 Declaration
 parseDeclaration(const std::string &code, std::size_t begin)
@@ -452,7 +501,10 @@ parseDeclaration(const std::string &code, std::size_t begin)
                 i = end;
                 continue;
             }
-            decided = true; // plain function declaration
+            decided = true;
+            // A parenthesised initializer, or a function declaration.
+            d.variable = nx < code.size() &&
+                         std::isdigit(static_cast<unsigned char>(code[nx]));
         } else if (c == '<') {
             std::size_t end = matchBracket(code, i);
             if (end == std::string::npos)
@@ -590,8 +642,44 @@ ruleDescription(const std::string &rule)
     return "unknown rule";
 }
 
+std::vector<SourceFile>
+collectSources(const std::string &arg)
+{
+    namespace fs = std::filesystem;
+    const fs::path root(arg);
+    if (!fs::is_directory(root)) {
+        if (!fs::exists(root))
+            throw std::runtime_error("nectar-lint: no such file: " + arg);
+        return {{arg, arg}};
+    }
+    const fs::path base = scopeRoot(root);
+    std::vector<SourceFile> files;
+    auto it = fs::recursive_directory_iterator(
+        root, fs::directory_options::skip_permission_denied);
+    for (auto end = fs::end(it); it != end; ++it) {
+        if (it->is_directory()) {
+            if (skippedDir(it->path()))
+                it.disable_recursion_pending();
+            continue;
+        }
+        if (it->is_regular_file() && isSourceFile(it->path()))
+            files.push_back(
+                {it->path().string(),
+                 (base / it->path().lexically_relative(root))
+                     .generic_string()});
+    }
+    return files;
+}
+
 std::vector<Finding>
 lintSource(const std::string &path, const std::string &text)
+{
+    return lintSource(path, text, path);
+}
+
+std::vector<Finding>
+lintSource(const std::string &path, const std::string &text,
+           const std::string &scope)
 {
     Prepared p = prepare(text);
 
@@ -601,12 +689,12 @@ lintSource(const std::string &path, const std::string &text)
     scanWallClock(p, path, raw);
     scanUnorderedIteration(p, path, raw);
     for (const char *dir : packetPathDirs)
-        if (path.find(dir) != std::string::npos) {
+        if (underDir(scope, dir)) {
             scanPacketCopies(p, path, raw);
             break;
         }
     scanScheduleSites(p, path, raw);
-    if (path.find(simulationDir) != std::string::npos)
+    if (underDir(scope, simulationDir))
         scanGlobalState(p, path, raw);
 
     std::vector<Finding> out;
@@ -626,14 +714,21 @@ lintSource(const std::string &path, const std::string &text)
 }
 
 std::vector<Finding>
-lintFile(const std::string &path)
+lintFile(const SourceFile &file)
 {
-    std::ifstream in(path, std::ios::binary);
+    std::ifstream in(file.path, std::ios::binary);
     if (!in)
-        throw std::runtime_error("nectar-lint: cannot read " + path);
+        throw std::runtime_error("nectar-lint: cannot read " +
+                                 file.path);
     std::ostringstream ss;
     ss << in.rdbuf();
-    return lintSource(path, ss.str());
+    return lintSource(file.path, ss.str(), file.scope);
+}
+
+std::vector<Finding>
+lintFile(const std::string &path)
+{
+    return lintFile(SourceFile{path, path});
 }
 
 } // namespace nectar::lint

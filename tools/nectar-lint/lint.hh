@@ -59,7 +59,7 @@ namespace nectar::lint {
 struct Finding
 {
     std::string rule;    ///< "D1".."D5", "D7", or "A1" (bad annotation).
-    std::string file;    ///< Path as passed to the linter.
+    std::string file;    ///< Path as read by the linter.
     int line = 0;        ///< 1-based line number.
     std::string message; ///< Human-readable explanation.
 };
@@ -67,15 +67,46 @@ struct Finding
 /** One-line description of a rule id ("D1".."D5", "D7", "A1"). */
 const char *ruleDescription(const std::string &rule);
 
+/** A file to lint and the path its rules are scoped by. */
+struct SourceFile
+{
+    std::string path;  ///< Where to read it; findings report it.
+    std::string scope; ///< Matched against the rule scopes.
+};
+
 /**
- * Lint @p text as the contents of @p path.
+ * The sources one command-line argument names.  A file is itself,
+ * scoped by its path as given.  A directory is scanned recursively
+ * for C++ sources (build trees, dot-directories and the lint corpus
+ * are skipped), and each file is scoped by the directory's own name
+ * and the path below it: the directories above the argument (a
+ * checkout under ~/src, a parent named hub) switch no rule on.  A
+ * plain relative directory keeps every component as given, so
+ * `src/hub` scopes its files as src/hub/....
+ *
+ * @throws std::runtime_error if @p arg does not exist.
+ */
+std::vector<SourceFile> collectSources(const std::string &arg);
+
+/**
+ * Lint @p text as the contents of @p path.  D3 applies when a
+ * directory of @p scope is a packet-path layer (phys, hub, datalink,
+ * transport, cab), and D7 when one is src.
  *
  * @return Findings sorted by line, deduplicated by (rule, line).
  */
 std::vector<Finding> lintSource(const std::string &path,
+                                const std::string &text,
+                                const std::string &scope);
+
+/** lintSource() scoped by @p path itself. */
+std::vector<Finding> lintSource(const std::string &path,
                                 const std::string &text);
 
-/** Read @p path and lint it.  @throws std::runtime_error on I/O error. */
+/** Read @p file and lint it.  @throws std::runtime_error on I/O error. */
+std::vector<Finding> lintFile(const SourceFile &file);
+
+/** lintFile() scoped by @p path itself. */
 std::vector<Finding> lintFile(const std::string &path);
 
 } // namespace nectar::lint

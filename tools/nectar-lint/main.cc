@@ -6,60 +6,26 @@
  *
  * Directories are scanned recursively for C++ sources; build trees,
  * dot-directories and the lint-corpus fixtures (which violate rules
- * on purpose) are skipped.  Files named explicitly are always
- * linted, corpus or not — that is how the corpus tests drive the
- * binary.  --explain prints one line per rule.
+ * on purpose) are skipped, and each file's rules are scoped by its
+ * path below the directory (lint.hh, collectSources).  Files named
+ * explicitly are always linted, corpus or not — that is how the
+ * corpus tests drive the binary.  --explain prints one line per
+ * rule.
  *
  * Exit status: 0 clean, 1 findings, 2 usage or I/O error.
  */
 
 #include <algorithm>
-#include <filesystem>
 #include <iostream>
 #include <string>
 #include <vector>
 
 #include "lint.hh"
 
-namespace fs = std::filesystem;
 using nectar::lint::Finding;
+using nectar::lint::SourceFile;
 
 namespace {
-
-bool
-isSourceFile(const fs::path &p)
-{
-    static const std::vector<std::string> exts = {
-        ".cc", ".hh", ".cpp", ".hpp", ".h", ".cxx",
-    };
-    return std::find(exts.begin(), exts.end(),
-                     p.extension().string()) != exts.end();
-}
-
-bool
-skippedDir(const fs::path &p)
-{
-    std::string name = p.filename().string();
-    return name.empty() || name.front() == '.' ||
-           name.rfind("build", 0) == 0 || name == "lint_corpus" ||
-           name == "CMakeFiles" || name == "Testing";
-}
-
-void
-collect(const fs::path &root, std::vector<std::string> &files)
-{
-    auto it = fs::recursive_directory_iterator(
-        root, fs::directory_options::skip_permission_denied);
-    for (auto end = fs::end(it); it != end; ++it) {
-        if (it->is_directory()) {
-            if (skippedDir(it->path()))
-                it.disable_recursion_pending();
-            continue;
-        }
-        if (it->is_regular_file() && isSourceFile(it->path()))
-            files.push_back(it->path().string());
-    }
-}
 
 int
 usage()
@@ -76,7 +42,7 @@ usage()
 int
 main(int argc, char **argv)
 {
-    std::vector<std::string> files;
+    std::vector<SourceFile> files;
     bool explain = false;
 
     for (int i = 1; i < argc; ++i) {
@@ -88,13 +54,14 @@ main(int argc, char **argv)
             return 0;
         } else if (!a.empty() && a[0] == '-') {
             return usage();
-        } else if (fs::is_directory(a)) {
-            collect(a, files);
-        } else if (fs::exists(a)) {
-            files.push_back(a);
         } else {
-            std::cerr << "nectar-lint: no such file: " << a << "\n";
-            return 2;
+            try {
+                auto found = nectar::lint::collectSources(a);
+                files.insert(files.end(), found.begin(), found.end());
+            } catch (const std::exception &e) {
+                std::cerr << e.what() << "\n";
+                return 2;
+            }
         }
     }
     if (explain) {
@@ -107,7 +74,10 @@ main(int argc, char **argv)
     if (files.empty())
         return usage();
 
-    std::sort(files.begin(), files.end());
+    std::sort(files.begin(), files.end(),
+              [](const SourceFile &x, const SourceFile &y) {
+                  return x.path < y.path;
+              });
     std::size_t nFindings = 0, nFilesWithFindings = 0;
     for (const auto &f : files) {
         std::vector<Finding> findings;
