@@ -12,6 +12,7 @@
 #include "nectarine/system.hh"
 #include "serving/serving.hh"
 #include "sim/coro.hh"
+#include "sim/digest.hh"
 #include "sim/logging.hh"
 #include "sim/random.hh"
 #include "topo/topofile.hh"
@@ -313,6 +314,17 @@ runCase(const FaultPlan &plan, const FuzzConfig &cfg)
             "wedged: system not quiescent by drain deadline (now=" +
             std::to_string(res.quiescedAt) + ")");
     res.passed = res.violations.empty();
+
+    sim::Digest d;
+    d.mix(static_cast<std::uint64_t>(res.quiescedAt));
+    d.mix(res.oracleSummary);
+    d.mix(res.report.format());
+    for (std::uint64_t v :
+         {res.reliableSends, res.reliableDeliveries, res.collectiveOps,
+          res.collectiveFailures, res.groupEpochBumps, res.servingIssued,
+          res.servingCompleted, res.servingFailed})
+        d.mix(v);
+    res.digest = d.value();
     return res;
 }
 

@@ -107,6 +107,13 @@ struct FuzzResult
     std::uint64_t servingIssued = 0;
     std::uint64_t servingCompleted = 0;
     std::uint64_t servingFailed = 0;
+
+    /**
+     * Behaviour digest (sim::Digest) of quiescedAt, the oracle
+     * summary, the formatted campaign report and the accounting
+     * counters above.  A change that keeps it ran the same case.
+     */
+    std::uint64_t digest = 0;
 };
 
 /** Run one plan through the standard harness. */

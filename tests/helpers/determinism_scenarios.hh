@@ -6,12 +6,17 @@
  *
  * Each scenario is a compact replica of a tier-1 benchmark workload
  * (the E9 packet pipeline and the C1/C2 collectives from bench/, the
- * latter also over multi-HUB fabrics) and returns the event-trace
- * Trace of one run — the rolling FNV-1a hash the EventQueue folds
- * over (when, priority, sequence) of every executed event, plus the
- * executed count and end-of-sim tick.  Keeping the scenarios in one
- * header means the reproducibility and golden tests can never drift
- * apart.
+ * latter also over multi-HUB fabrics) and returns the Trace of one
+ * run.  A Trace holds two kinds of fingerprint.  The event trace is
+ * the rolling FNV-1a hash the EventQueue folds over (when, priority,
+ * sequence) of every executed event, plus the executed count; it
+ * changes whenever a model fires a different set of events.  The
+ * behaviour digest (helpers/behaviour_probe.hh) folds only what the
+ * simulated system did — deliveries, the end tick, every HUB,
+ * datalink and transport counter, the allreduce report — and stays
+ * put when a change fires fewer events to simulate the same thing.
+ * Keeping the scenarios in one header means the reproducibility and
+ * golden tests can never drift apart.
  */
 
 #pragma once
@@ -20,11 +25,13 @@
 #include <string>
 #include <vector>
 
+#include "behaviour_probe.hh"
 #include "collectives/communicator.hh"
 #include "collectives/group.hh"
 #include "nectarine/nectarine.hh"
 #include "node/node.hh"
 #include "sim/coro.hh"
+#include "sim/random.hh"
 #include "topo/description.hh"
 #include "topo/topofile.hh"
 #include "workload/allreduce.hh"
@@ -34,20 +41,48 @@
 
 namespace nectar::testutil {
 
-/** What one scenario run looked like, trace-wise. */
+/** What one scenario run looked like. */
 struct Trace
 {
+    // The event trace.
     std::uint64_t fingerprint = 0;
     std::uint64_t executed = 0;
     sim::Tick end = 0;
 
-    bool
-    operator==(const Trace &o) const
-    {
-        return fingerprint == o.fingerprint && executed == o.executed &&
-               end == o.end;
-    }
+    // Behaviour: the BehaviourProbe digest, and a few of the values
+    // it covers, readable in a failing pin.
+    std::uint64_t behaviour = 0;
+    std::uint64_t reportFp = 0; ///< AllreduceReport; 0 if none.
+    std::uint64_t stuckDrops = 0;  ///< Summed over every HUB.
+    std::uint64_t opensFailed = 0; ///< Summed over every HUB.
+
+    bool operator==(const Trace &) const = default;
 };
+
+/**
+ * The Trace of a finished run of @p sys; @p reportFp (0 if the
+ * scenario has no report) is folded into the behaviour digest.
+ */
+inline Trace
+traceOf(nectarine::NectarSystem &sys, BehaviourProbe &probe,
+        std::uint64_t reportFp = 0)
+{
+    sim::EventQueue &eq = sys.eventq();
+    Trace t;
+    t.fingerprint = eq.fingerprint();
+    t.executed = eq.executedCount();
+    t.end = eq.now();
+    if (reportFp != 0)
+        probe.mix(reportFp);
+    t.behaviour = probe.finish();
+    t.reportFp = reportFp;
+    for (int i = 0; i < sys.topo().numHubs(); ++i) {
+        const hub::HubStats &s = sys.topo().hubAt(i).stats();
+        t.stuckDrops += s.stuckDrops.value();
+        t.opensFailed += s.opensFailed.value();
+    }
+    return t;
+}
 
 /** E9 replica: pipelined node-to-node transfer over one HUB. */
 inline Trace
@@ -58,6 +93,7 @@ packetPipelineOnce(std::uint32_t totalBytes)
     sim::copyStats().reset();
     sim::EventQueue eq;
     auto sys = nectarine::NectarSystem::singleHub(eq, 2);
+    BehaviourProbe probe(*sys);
     node::Node src(eq, "src"), dst(eq, "dst");
     auto &mb = sys->site(1).kernel->createMailbox("in", 2 << 20, 10);
 
@@ -100,7 +136,7 @@ packetPipelineOnce(std::uint32_t totalBytes)
     }(eq, src, *sys->site(0).transport, totalBytes, chunk));
 
     eq.run();
-    return Trace{eq.fingerprint(), eq.executedCount(), eq.now()};
+    return traceOf(*sys, probe);
 }
 
 /** C1 replica: broadcast to a group over hardware multicast. */
@@ -112,6 +148,7 @@ broadcastOnce(int members, std::uint32_t bytes)
 
     sim::EventQueue eq;
     auto sys = nectarine::NectarSystem::singleHub(eq, members);
+    BehaviourProbe probe(*sys);
     nectarine::Nectarine api(*sys);
     collective::GroupDirectory groups;
     auto gid = std::make_shared<collective::GroupId>(0);
@@ -131,7 +168,7 @@ broadcastOnce(int members, std::uint32_t bytes)
     }
     *gid = groups.create("bcast", ids);
     eq.run();
-    return Trace{eq.fingerprint(), eq.executedCount(), eq.now()};
+    return traceOf(*sys, probe);
 }
 
 /**
@@ -145,6 +182,7 @@ meshAllreduceOnce(const topo::TopologyDescription &desc, int members,
 {
     sim::EventQueue eq;
     auto sys = nectarine::NectarSystem::fromDescription(eq, desc);
+    BehaviourProbe probe(*sys);
     nectarine::Nectarine api(*sys);
     collective::GroupDirectory groups;
     workload::AllreduceConfig cfg;
@@ -157,9 +195,10 @@ meshAllreduceOnce(const topo::TopologyDescription &desc, int members,
                         static_cast<std::size_t>(members));
     workload::AllreduceWorkload w(api, groups, sites, cfg);
     eq.run();
-    sim::simAssert(w.report().okMembers == members,
+    const workload::AllreduceReport report = w.report();
+    sim::simAssert(report.okMembers == members,
                    "allreduce scenario must complete on all members");
-    return Trace{eq.fingerprint(), eq.executedCount(), eq.now()};
+    return traceOf(*sys, probe, report.fingerprint);
 }
 
 /** C2 replica: a short allreduce over one HUB, one member per CAB. */
@@ -187,6 +226,36 @@ fabric16()
 {
     return topo::loadTopologyFile(std::string(NECTAR_FABRIC_DIR) +
                                   "/fabric16.topo");
+}
+
+/**
+ * Cabling drawn from @p seed as nectar-bench draws it: every CAB
+ * attachment fiber 0-500 ns long, every trunk 0-2000 ns.  Uneven
+ * fibers spread same-tick arrivals apart, which is what lets
+ * contended outcomes depend on the model's ordering.
+ */
+inline topo::TopologyDescription
+withSeededCabling(topo::TopologyDescription desc, std::uint64_t seed)
+{
+    sim::Random rng(seed, 0x66696272);
+    for (topo::CabDecl &cab : desc.cabs)
+        cab.latency = rng.below(500 + 1);
+    for (topo::TrunkDecl &trunk : desc.trunks)
+        trunk.latency = rng.below(2000 + 1);
+    return desc;
+}
+
+/**
+ * The contended pin: allreduce-fabric16 (32 members, 2 KB) cut to 4
+ * rounds, on seed 1's cabling.  Its HUBs drop stuck heads and fail
+ * hundreds of opens per round, the regime the benchmarks spend their
+ * time in.
+ */
+inline Trace
+contendedFabric16AllreduceOnce()
+{
+    return meshAllreduceOnce(withSeededCabling(fabric16(), 1), 32, 2048,
+                             4);
 }
 
 } // namespace nectar::testutil

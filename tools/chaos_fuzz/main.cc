@@ -23,6 +23,10 @@
  * arrivals per site (src/serving) in flight while the oracle judges
  * the ledgered traffic and the drain.
  *
+ * The summary line ends with a digest of every seed's behaviour
+ * (fault::FuzzResult::digest, folded in seed order): two builds that
+ * print the same digest ran the same simulations, fault for fault.
+ *
  * Exit status: 0 when every seed passed, 1 on any oracle failure,
  * 2 on usage errors (a numeric flag must parse whole).
  */
@@ -37,6 +41,7 @@
 #include "fault/generate.hh"
 #include "fault/planio.hh"
 #include "fault/shrink.hh"
+#include "sim/digest.hh"
 #include "sim/parse.hh"
 
 using namespace nectar;
@@ -158,10 +163,12 @@ main(int argc, char **argv)
 
     int failures = 0;
     std::uint64_t shrunkEvents = 0, shrinkRuns = 0;
+    sim::Digest digest;
     for (int i = 0; i < opt.seeds; ++i) {
         std::uint64_t seed = opt.seed0 + static_cast<std::uint64_t>(i);
         fault::FaultPlan plan = gen.generate(seed);
         auto res = fault::runCase(plan, fcfg);
+        digest.mix(res.digest);
         if (res.passed)
             continue;
 
@@ -197,6 +204,7 @@ main(int argc, char **argv)
         std::printf(", mean shrunk plan %.1f events, %llu shrink runs",
                     static_cast<double>(shrunkEvents) / failures,
                     static_cast<unsigned long long>(shrinkRuns));
-    std::printf("\n");
+    std::printf(", digest %016llx\n",
+                static_cast<unsigned long long>(digest.value()));
     return failures ? 1 : 0;
 }
