@@ -97,7 +97,6 @@ Hub::doOpen(const CommandWord &cmd, PortId arrival)
     lastActivity[arrival] = now();
     if (config.circuitIdleTimeout > 0)
         armIdleReaper(now() + config.circuitIdleTimeout);
-    ports[arrival]->connectionOpened();
     return true;
 }
 

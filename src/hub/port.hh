@@ -79,14 +79,11 @@ class IoPort : public sim::Component, public phys::FiberSink
     void transmit(const phys::WireItem &item, bool stolen = false);
 
     /**
-     * The HUB opened a connection from this input; re-examine the
-     * queue head (data may have been waiting for the route).
-     */
-    void connectionOpened();
-
-    /**
      * The central controller reached a final disposition for the
      * command this port submitted; the stream may advance past it.
+     * A successful open settles in the controller tick that makes
+     * it, so this is also where a head waiting for its route learns
+     * that the route exists.
      */
     void commandSettled();
 
@@ -103,15 +100,25 @@ class IoPort : public sim::Component, public phys::FiberSink
     };
 
     /**
-     * Ensure processQueue() runs at (or before) @p when; coalesces
-     * with any earlier pending wakeup.
+     * Wake processQueue() at @p when, replacing any pending wakeup:
+     * the decode, cut-through, busy-output or watchdog time the
+     * current head waits for.
      */
     void scheduleProcess(Tick when);
+
+    /** Drop the pending wakeup, if any. */
+    void cancelWakeup();
 
     /**
      * Drain the queue head while items are disposable: consume
      * commands addressed to this HUB, forward everything else through
-     * open connections.
+     * open connections.  Leaves exactly the wakeup the blocked head
+     * needs, or none.
+     *
+     * Runs only when something the head waits on can change: an item
+     * becomes the head, the controller settles this port's command,
+     * or the head's own wakeup fires.  An item queued behind a head
+     * changes nothing the head waits on.
      */
     void processQueue();
 
