@@ -788,19 +788,20 @@ Transport::handleDatagram(const Header &h, sim::PacketView &&payload)
 
     // Multi-fragment datagram: reassemble per (source, message).
     auto key = (static_cast<std::uint64_t>(h.srcCab) << 32) | h.msgId;
-    DatagramAssembly &as = datagramAsm[key];
-    if (as.frags.empty()) {
-        as.fragCount = h.fragCount;
-        as.started = now();
-    }
-    as.frags[h.fragIndex] = std::move(payload);
-    if (as.frags.size() < as.fragCount)
+    DatagramAssembly &as = assemblyFor(key, h.fragCount);
+    if (h.fragIndex >= as.fragCount)
+        return; // malformed: the datagram has no such fragment
+    std::optional<sim::PacketView> &frag = as.frags[h.fragIndex];
+    if (!frag)
+        ++as.received;
+    frag = std::move(payload);
+    if (as.received < as.fragCount)
         return;
 
     sim::PacketView whole;
-    for (auto &[idx, frag] : as.frags)
-        whole.append(frag);
-    datagramAsm.erase(key);
+    for (const auto &f : as.frags)
+        whole.append(*f);
+    releaseAssembly(as);
     std::size_t bytes = whole.size();
     if (!deliver(h.dstMailbox, std::move(whole), h.msgId)) {
         _stats.datagramsDropped.add();
@@ -811,12 +812,40 @@ Transport::handleDatagram(const Header &h, sim::PacketView &&payload)
 
     // Opportunistically discard stale partial datagrams (a fragment
     // was lost and will never arrive).
-    for (auto it = datagramAsm.begin(); it != datagramAsm.end();) {
-        if (now() - it->second.started > 100 * ms)
-            it = datagramAsm.erase(it);
-        else
-            ++it;
+    for (DatagramAssembly &slot : datagramAsm) {
+        if (slot.fragCount != 0 && now() - slot.started > 100 * ms)
+            releaseAssembly(slot);
     }
+}
+
+Transport::DatagramAssembly &
+Transport::assemblyFor(std::uint64_t key, std::uint16_t fragCount)
+{
+    DatagramAssembly *freeSlot = nullptr;
+    for (DatagramAssembly &slot : datagramAsm) {
+        if (slot.fragCount == 0) {
+            if (!freeSlot)
+                freeSlot = &slot;
+        } else if (slot.key == key) {
+            return slot;
+        }
+    }
+    DatagramAssembly &as =
+        freeSlot ? *freeSlot : datagramAsm.emplace_back();
+    as.key = key;
+    as.fragCount = fragCount;
+    as.received = 0;
+    as.started = now();
+    as.frags.assign(fragCount, std::nullopt);
+    return as;
+}
+
+void
+Transport::releaseAssembly(DatagramAssembly &as)
+{
+    as.fragCount = 0;
+    for (auto &f : as.frags)
+        f.reset();
 }
 
 // --------------------------------------------------------------------

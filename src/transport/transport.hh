@@ -330,13 +330,27 @@ class Transport : public sim::Component
                                         ///< gates epoch resync.
     };
 
-    /** Partially reassembled datagram. */
+    /**
+     * A reassembly slot for one multi-fragment datagram.  Slots are
+     * reused, and their fragment arrays keep their capacity, so a
+     * steady stream of datagrams allocates nothing here.
+     */
     struct DatagramAssembly
     {
-        std::map<std::uint16_t, sim::PacketView> frags;
-        std::uint16_t fragCount = 0;
+        std::uint64_t key = 0;        ///< (source << 32) | msgId.
+        std::uint16_t fragCount = 0;  ///< 0 while the slot is free.
+        std::uint16_t received = 0;   ///< Distinct fragments held.
         Tick started = 0;
+        /** By fragment index; empty until that fragment arrives. */
+        std::vector<std::optional<sim::PacketView>> frags;
     };
+
+    /** The slot assembling @p key, taking a free one if none is. */
+    DatagramAssembly &assemblyFor(std::uint64_t key,
+                                  std::uint16_t fragCount);
+
+    /** Free @p as for the next datagram, dropping its fragments. */
+    static void releaseAssembly(DatagramAssembly &as);
 
     static std::uint64_t
     flowKey(CabAddress peer, std::uint16_t mb)
@@ -436,7 +450,7 @@ class Transport : public sim::Component
 
     std::map<std::uint64_t, std::unique_ptr<SenderFlow>> senders;
     std::map<std::uint64_t, ReceiverFlow> receivers;
-    std::map<std::uint64_t, DatagramAssembly> datagramAsm;
+    std::vector<DatagramAssembly> datagramAsm;
 
     std::uint32_t nextMsgId = 1;
     bool _alive = true;

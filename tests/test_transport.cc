@@ -163,6 +163,36 @@ TEST_F(TransportTest, DatagramFragmentationAndReassembly)
     EXPECT_GT(tp(0).stats().packetsSent.value(), 4u);
 }
 
+TEST_F(TransportTest, DatagramFragmentPastItsCountIsDropped)
+{
+    // Fragments 1, 5 and 0 of a two-fragment datagram, sent raw: the
+    // datagram has no fragment 5, so the receiver drops it and
+    // assembles the message from fragments 0 and 1 alone.
+    sys = NectarSystem::singleHub(eq, 2);
+    auto &mb = kern(1).createMailbox("in", 64 * 1024, 10);
+    sim::spawn([](NectarSystem &sys) -> Task<void> {
+        for (std::uint16_t index : {1, 5, 0}) {
+            Header h;
+            h.protocol = Proto::datagram;
+            h.srcCab = 1;
+            h.dstCab = 2;
+            h.dstMailbox = 10;
+            h.msgId = 7;
+            h.fragIndex = index;
+            h.fragCount = 2;
+            co_await sys.site(0).datalink->sendPacket(
+                sys.directory().route(1, 2),
+                encodePacket(h, sim::PacketView(std::vector<std::uint8_t>(
+                                    100, std::uint8_t(index)))));
+        }
+    }(*sys));
+    eq.run();
+    ASSERT_EQ(mb.count(), 1u);
+    std::vector<std::uint8_t> want(100, 0);
+    want.insert(want.end(), 100, 1);
+    EXPECT_EQ(mb.tryGet()->bytes(), want);
+}
+
 TEST_F(TransportTest, DatagramToUnknownMailboxDropped)
 {
     sys = NectarSystem::singleHub(eq, 2);
