@@ -130,7 +130,7 @@ IpLayer::send(IpAddress dst, std::uint8_t protocol,
         onPacket(std::move(packet), false);
         co_return true;
     }
-    const topo::Route &route = directory.route(self, *dst_cab);
+    const topo::RouteHandle &route = directory.route(self, *dst_cab);
     co_return co_await dl.sendPacket(route, std::move(packet),
                                      datalink::SwitchMode::packet);
 }

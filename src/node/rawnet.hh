@@ -92,7 +92,8 @@ class NectarRawNet : public RawNet, public sim::Component
             static_cast<std::uint32_t>(packet.size()));
         site.board->memory().account(cab::Accessor::vmeDma,
                                      packet.size());
-        const topo::Route &route = directory.route(site.address, dst);
+        const topo::RouteHandle &route =
+            directory.route(site.address, dst);
         bool ok = co_await site.datalink->sendPacket(
             route, std::move(packet), mode);
         co_return ok;

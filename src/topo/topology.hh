@@ -51,6 +51,13 @@ struct Hop
 using Route = std::vector<Hop>;
 
 /**
+ * A shared, immutable route.  Route caches hand these out, so a send
+ * can hold its route across suspensions without copying it, and the
+ * route outlives a cache recomputation that replaces it.
+ */
+using RouteHandle = std::shared_ptr<const Route>;
+
+/**
  * A set of HUBs, their interconnections, and attached endpoints.
  */
 class Topology

@@ -13,6 +13,7 @@
 #include <algorithm>
 #include <cstdint>
 #include <map>
+#include <memory>
 #include <utility>
 #include <vector>
 
@@ -67,7 +68,7 @@ class NetworkDirectory
      *
      * May be empty when link failures leave no surviving path.
      */
-    const topo::Route &
+    const topo::RouteHandle &
     route(CabAddress from, CabAddress to)
     {
         if (version != topo.linkVersion()) {
@@ -79,11 +80,13 @@ class NetworkDirectory
         auto it = routes.find(key);
         if (it == routes.end()) {
             it = routes
-                     .emplace(key, topo.route(endpointOf(from),
-                                              endpointOf(to)))
+                     .emplace(key, std::make_shared<const topo::Route>(
+                                       topo.route(endpointOf(from),
+                                                  endpointOf(to))))
                      .first;
             auto old = staleRoutes.find(key);
-            if (old != staleRoutes.end() && old->second != it->second)
+            if (old != staleRoutes.end() &&
+                *old->second != *it->second)
                 _reroutes.add();
         }
         return it->second;
@@ -95,7 +98,7 @@ class NetworkDirectory
      * route()).  Empty when link failures leave any member
      * unreachable — callers fall back to per-member unicast fan-out.
      */
-    const topo::Route &
+    const topo::RouteHandle &
     multicastRoute(CabAddress from, std::vector<CabAddress> members)
     {
         if (mcastVersion != topo.linkVersion()) {
@@ -113,9 +116,9 @@ class NetworkDirectory
             for (CabAddress m : members)
                 to.push_back(endpointOf(m));
             it = mcastRoutes
-                     .emplace(key,
-                              topo.multicastRoute(endpointOf(from),
-                                                  to))
+                     .emplace(key, std::make_shared<const topo::Route>(
+                                       topo.multicastRoute(
+                                           endpointOf(from), to)))
                      .first;
         }
         return it->second;
@@ -132,11 +135,12 @@ class NetworkDirectory
   private:
     topo::Topology &topo;
     std::map<CabAddress, topo::Endpoint> attachments;
-    std::map<std::pair<CabAddress, CabAddress>, topo::Route> routes;
-    std::map<std::pair<CabAddress, CabAddress>, topo::Route>
+    std::map<std::pair<CabAddress, CabAddress>, topo::RouteHandle>
+        routes;
+    std::map<std::pair<CabAddress, CabAddress>, topo::RouteHandle>
         staleRoutes;
     std::map<std::pair<CabAddress, std::vector<CabAddress>>,
-             topo::Route>
+             topo::RouteHandle>
         mcastRoutes;
     std::uint64_t version = 0;
     std::uint64_t mcastVersion = 0;

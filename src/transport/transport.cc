@@ -41,8 +41,8 @@ Transport::transmitPacket(CabAddress dst, sim::PacketView packet)
         handlePacket(std::move(packet), false);
         co_return;
     }
-    const topo::Route &route = directory.route(self, dst);
-    if (route.empty()) {
+    const topo::RouteHandle &route = directory.route(self, dst);
+    if (route->empty()) {
         // Link failures partitioned us from the destination.  Drop;
         // the retransmission machinery retries, and succeeds once a
         // link heals or the directory finds a surviving path.
@@ -347,8 +347,9 @@ Transport::transmitMulticastPacket(
         co_return;
 
     if (allowHardware && dsts.size() > 1) {
-        const topo::Route &tree = directory.multicastRoute(self, dsts);
-        if (!tree.empty() && frameFits(tree, packet)) {
+        const topo::RouteHandle &tree =
+            directory.multicastRoute(self, dsts);
+        if (!tree->empty() && frameFits(*tree, packet)) {
             // One transmission covers every member: the HUB crossbar
             // fans the bytes out along the tree (Section 4.2.2).
             _stats.packetsSent.add();
@@ -362,8 +363,8 @@ Transport::transmitMulticastPacket(
         _stats.mcastFallbacks.add();
     }
     for (CabAddress dst : dsts) {
-        const topo::Route &route = directory.route(self, dst);
-        if (route.empty()) {
+        const topo::RouteHandle &route = directory.route(self, dst);
+        if (route->empty()) {
             _stats.unroutable.add();
             continue; // member's RTO machinery keeps retrying
         }

@@ -125,41 +125,45 @@ expectSteadyStateAllocs(const Shape &shape, double maxCallsPerTrip)
 }
 
 // The message path allocates nothing per round trip but PingPong's
-// payload vector and its Buffer (2), each header's vector and Buffer
-// (4) and the per-packet topo::Route copy into Datalink::sendPacket
-// (2).  Before the in-flight fiber FIFOs, inline PacketView segments,
-// reusable frames and pooled coroutine frames, a 64 B datagram round
-// trip on one HUB made 98.6 operator new calls and 24 EventFn spills.
-TEST(Footprint, PingPongRoundTripMakesNoSpillAndAtMost10Allocations)
+// payload vector and its Buffer (2) and each header's vector and
+// Buffer (4); the datalink holds the directory's shared route instead
+// of copying it per packet (that copy was 2 more).  Before the
+// in-flight fiber FIFOs, inline PacketView segments, reusable frames
+// and pooled coroutine frames, a 64 B datagram round trip on one HUB
+// made 98.6 operator new calls and 24 EventFn spills.
+TEST(Footprint, PingPongRoundTripMakesNoSpillAndAtMost6Allocations)
 {
-    expectSteadyStateAllocs(Shape{}, 10);
+    expectSteadyStateAllocs(Shape{}, 6);
 }
 
-// The other shapes are held to a fifth of their calls before that
-// work.  Two HUBs, 64 B datagram: 120.9 calls and 38 spills.
-TEST(Footprint, TwoHubRoundTripMakesNoSpillAndAtMost24Allocations)
+// Two HUBs, 64 B datagram: 6.00 calls (120.9 calls and 38 spills
+// before that work, 8.00 with the route copy).
+TEST(Footprint, TwoHubRoundTripMakesNoSpillAndAtMost6Allocations)
 {
     Shape shape;
     shape.twoHubs = true;
-    expectSteadyStateAllocs(shape, 120.9 / 5);
+    expectSteadyStateAllocs(shape, 6);
 }
 
-// One HUB, reliable delivery, 64 B: 190.5 calls and 48 spills.
-TEST(Footprint, ReliableRoundTripMakesNoSpillAndAtMost38Allocations)
+// One HUB, reliable delivery, 64 B: 11.95 calls (190.5 calls and 48
+// spills before that work, 15.94 with the route copy; the
+// SenderFlow::unacked map node is one of what remains).
+TEST(Footprint, ReliableRoundTripMakesNoSpillAndAtMost12Allocations)
 {
     Shape shape;
     shape.delivery = nectarine::Delivery::reliable;
-    expectSteadyStateAllocs(shape, 190.5 / 5);
+    expectSteadyStateAllocs(shape, 12);
 }
 
-// One HUB, 900 B datagram (two fragments): 239.5 calls and 60 spills.
-// Reassembling fragments in reused slots instead of map nodes took it
-// from 19.84 calls to 14.00.
-TEST(Footprint, LargeDatagramRoundTripMakesNoSpillAndAtMost14Allocations)
+// One HUB, 900 B datagram (two fragments): 10.00 calls (239.5 calls
+// and 60 spills before that work).  Reassembling fragments in reused
+// slots instead of map nodes took it from 19.84 calls to 14.00, and
+// dropping the route copy to 10.00.
+TEST(Footprint, LargeDatagramRoundTripMakesNoSpillAndAtMost10Allocations)
 {
     Shape shape;
     shape.bytes = 900;
-    expectSteadyStateAllocs(shape, 14);
+    expectSteadyStateAllocs(shape, 10);
 }
 
 } // namespace

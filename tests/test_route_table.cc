@@ -400,21 +400,21 @@ TEST(RouteTableTest, DirectoryCacheAuditOnIrregularGraph)
     dir.registerCab(2, Endpoint{d.cabs[toCab].hub,
                                 d.cabs[toCab].port});
 
-    Route orig = dir.route(1, 2);
+    Route orig = *dir.route(1, 2);
     ASSERT_GE(orig.size(), 2u);
     std::uint64_t v0 = topo->linkVersion();
 
     // Kill the first trunk the cached route rides.
     topo->markLinkDown(orig[0].hubId, orig[0].outPort);
     EXPECT_GT(topo->linkVersion(), v0);
-    Route around = dir.route(1, 2);
+    Route around = *dir.route(1, 2);
     EXPECT_NE(around, orig) << "stale route served from cache";
     EXPECT_FALSE(around.empty()) << "graph stays connected";
     EXPECT_EQ(dir.reroutes(), 1u);
 
     // Heal: the original shortest path comes back bit for bit.
     topo->markLinkUp(orig[0].hubId, orig[0].outPort);
-    EXPECT_EQ(dir.route(1, 2), orig);
+    EXPECT_EQ(*dir.route(1, 2), orig);
     EXPECT_EQ(dir.reroutes(), 2u);
 
     // And the whole sequence is deterministic: a fresh build of the
@@ -426,7 +426,7 @@ TEST(RouteTableTest, DirectoryCacheAuditOnIrregularGraph)
                                  d.cabs[fromCab].port});
     dir2.registerCab(2, Endpoint{d.cabs[toCab].hub,
                                  d.cabs[toCab].port});
-    EXPECT_EQ(dir2.route(1, 2), orig);
+    EXPECT_EQ(*dir2.route(1, 2), orig);
 }
 
 TEST(RouteTableTest, GraphApiRejectsNonsense)
