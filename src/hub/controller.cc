@@ -112,6 +112,8 @@ CentralController::tick()
     // cycle there, the order the behaviour pins hold.
     if (settled)
         hub.commandSettled(p.arrival);
+    else
+        hub.commandRetrying(p.arrival);
 }
 
 } // namespace nectar::hub

@@ -19,6 +19,7 @@ Hub::Hub(sim::EventQueue &eq, std::string name, std::uint8_t id,
     if (config.numPorts < 2 || config.numPorts > 255)
         sim::fatal("Hub: port count must be in [2, 255]");
     lastActivity.assign(static_cast<std::size_t>(config.numPorts), 0);
+    outputMoved.assign(static_cast<std::size_t>(config.numPorts), 0);
     ports.reserve(config.numPorts);
     for (int i = 0; i < config.numPorts; ++i) {
         ports.push_back(
@@ -71,6 +72,13 @@ Hub::commandSettled(PortId arrival)
         ports[arrival]->commandSettled();
 }
 
+void
+Hub::commandRetrying(PortId arrival)
+{
+    if (xbar.valid(arrival))
+        ports[arrival]->commandRetrying();
+}
+
 bool
 Hub::doOpen(const CommandWord &cmd, PortId arrival)
 {
@@ -104,6 +112,23 @@ void
 Hub::noteCircuitActivity(PortId in)
 {
     lastActivity[in] = now();
+}
+
+void
+Hub::noteOutputMoved(PortId out)
+{
+    outputMoved[out] = now();
+    ports[out]->wakeParked();
+}
+
+Tick
+Hub::outputProgressAt(PortId out) const
+{
+    if (!xbar.valid(out))
+        return 0;
+    const PortId owner = xbar.ownerOf(out);
+    return owner == noPort ? outputMoved[out]
+                           : std::max(outputMoved[out], lastActivity[owner]);
 }
 
 void
@@ -149,6 +174,7 @@ Hub::reapIdleCircuits()
         for (PortId out : outs) {
             _stats.idleCloses.add();
             monitorRecord(HubEvent::connectionClose, in, out);
+            noteOutputMoved(out);
         }
         xbar.closeAllFrom(in);
         countError();
@@ -259,6 +285,9 @@ Hub::executeSerialized(const CommandWord &cmd, PortId arrival)
             return true;
         }
         PortId p = cmd.param;
+        for (PortId out : xbar.outputsOf(p))
+            noteOutputMoved(out);
+        noteOutputMoved(p);
         xbar.close(p);            // as an output
         xbar.closeAllFrom(p);     // as an input
         xbar.releaseLocksOf(p);
@@ -325,6 +354,7 @@ Hub::executeLocal(const CommandWord &cmd, PortId arrival)
         if (in != noPort) {
             _stats.closes.add();
             monitorRecord(HubEvent::connectionClose, in, cmd.param);
+            noteOutputMoved(cmd.param);
             noteCircuitClosed();
         }
         return;
@@ -334,6 +364,7 @@ Hub::executeLocal(const CommandWord &cmd, PortId arrival)
         for (PortId out : xbar.outputsOf(arrival)) {
             _stats.closes.add();
             monitorRecord(HubEvent::connectionClose, arrival, out);
+            noteOutputMoved(out);
         }
         xbar.closeAllFrom(arrival);
         noteCircuitClosed();
@@ -346,7 +377,8 @@ Hub::executeLocal(const CommandWord &cmd, PortId arrival)
             countError();
             return;
         }
-        xbar.releaseLock(cmd.param, arrival);
+        if (xbar.releaseLock(cmd.param, arrival))
+            noteOutputMoved(cmd.param);
         return;
       }
 

@@ -71,21 +71,25 @@ struct HubConfig
     /** Cycles of cut-through latency per forwarded item. */
     int transferCycles = sim::proto::hubTransferCycles;
     /**
-     * Watchdog on a queue head blocked with no wakeup in sight (its
-     * connection never opens because the open command was lost, or
-     * the route died under it).  After this long the head is
-     * discarded so the queue keeps draining and the ready handshake
-     * stays live; reliability above retransmits the loss.  0 disables
-     * the watchdog.
+     * Watchdog on a port's stream that stopped moving.  A command
+     * handed to the central controller is withdrawn once the output
+     * it names has made no progress for this long (the circuit
+     * holding it stopped forwarding: a dead route or a deadlock), and
+     * a queue head with no connection and no wakeup in sight (its
+     * open was withdrawn or lost, or its circuit closed under it) is
+     * discarded after this long, so the queue keeps draining and the
+     * ready handshake stays live; reliability above retransmits the
+     * loss.  0 disables the watchdog.
      */
     Tick stuckTimeout = 200 * sim::ticks::us;
     /**
      * Watchdog on an output register's cleared ready bit.  The ready
      * signal restoring it is a single wire item; if it is lost (dark
      * fiber, burst loss, a dead endpoint) the bit would stay false
-     * forever and wedge every route through the port.  After this
-     * long with no signal the port presumes the downstream queue
-     * drained and re-arms.  0 disables the watchdog.
+     * forever and wedge every route through the port.  Once the
+     * output has made no progress for this long with no signal, the
+     * port presumes the signal lost and re-arms.  0 disables the
+     * watchdog.
      */
     Tick readyTimeout = 500 * sim::ticks::us;
     /**
@@ -165,6 +169,9 @@ class Hub : public sim::Component
      */
     void commandSettled(PortId arrival);
 
+    /** A retrying command from @p arrival failed and was requeued. */
+    void commandRetrying(PortId arrival);
+
     /** Execute a localized command at the arrival port. */
     void executeLocal(const phys::CommandWord &cmd, PortId arrival);
 
@@ -203,6 +210,22 @@ class Hub : public sim::Component
      */
     void noteCircuitClosed();
 
+    /**
+     * Output @p out moved on its own: it closed, its ready bit rose
+     * or its lock was released.  Feeds outputProgressAt().
+     */
+    void noteOutputMoved(PortId out);
+
+    /**
+     * When output @p out last made progress: the circuit holding it
+     * forwarded an item or opened a branch, or the output closed, had
+     * its ready bit rise or its lock released.  0 for an invalid
+     * port.  The recovery watchdogs measure their limits from here,
+     * so they fire on an output that stopped moving, not on one that
+     * is busy.
+     */
+    Tick outputProgressAt(PortId out) const;
+
   private:
     /** Open @p arrival -> param connection; shared by open family. */
     bool doOpen(const phys::CommandWord &cmd, PortId arrival);
@@ -223,6 +246,8 @@ class Hub : public sim::Component
     std::uint64_t errors = 0;
     /** Per input port: when its circuit last carried an item. */
     std::vector<Tick> lastActivity;
+    /** Per output port: see noteOutputMoved(). */
+    std::vector<Tick> outputMoved;
     sim::EventId idleReaper = sim::invalidEventId;
 };
 

@@ -22,6 +22,8 @@ IoPort::IoPort(Hub &hub, PortId id, int queueCapacity)
 void
 IoPort::setReady(bool r)
 {
+    if (r && !readyBit)
+        hub.noteOutputMoved(_id);
     readyBit = r;
     if (r && readyWatchdog != sim::invalidEventId) {
         if (eventq().pending(readyWatchdog))
@@ -37,6 +39,8 @@ IoPort::flushQueue()
     qBytes = 0;
     headBlockedSince = 0;
     cmdPending = false;
+    cmdParked = false;
+    cmdResubmitted = false;
 }
 
 void
@@ -71,6 +75,18 @@ IoPort::fiberDeliver(WireItem item, Tick firstByte, Tick lastByte)
         setReady(true);
         return;
       case ItemKind::reply:
+        if (readyProbeOutstanding &&
+            static_cast<Op>(item.reply.op) == Op::echo &&
+            item.reply.hubId == farHubId &&
+            item.reply.param == readyProbeTag) {
+            // The ready probe's answer: everything sent before it has
+            // left the far queue, so a bit still clear means its
+            // signal was lost.
+            readyProbeOutstanding = false;
+            if (!readyBit && readyProbed)
+                rearmReady();
+            return;
+        }
         // Replies travel backward along the route, stealing cycles;
         // they never enter the input queue (Section 4.2.1).
         hub.forwardReplyReverse(_id, item.reply);
@@ -105,6 +121,7 @@ void
 IoPort::commandSettled()
 {
     cmdPending = false;
+    cmdResubmitted = false;
     processQueue();
 }
 
@@ -173,13 +190,64 @@ IoPort::armReadyWatchdog()
     if (readyWatchdog != sim::invalidEventId &&
         eventq().pending(readyWatchdog))
         eventq().cancel(readyWatchdog);
-    readyWatchdog = eventq().scheduleIn(limit, [this] {
-        readyWatchdog = sim::invalidEventId;
-        if (!readyBit) {
-            readyBit = true;
-            hub.stats().readyRearms.add();
+    readyClearedAt = now();
+    readyProbed = false;
+    readyWatchdog = eventq().scheduleIn(
+        limit, [this] { checkReady(); }, sim::EventPriority::hardware);
+}
+
+void
+IoPort::scheduleReadyCheck(Tick when)
+{
+    readyWatchdog = eventq().schedule(
+        when, [this] { checkReady(); }, sim::EventPriority::hardware);
+}
+
+void
+IoPort::checkReady()
+{
+    readyWatchdog = sim::invalidEventId;
+    if (readyBit)
+        return;
+    const Tick limit = hub.configuration().readyTimeout;
+    if (!readyProbed) {
+        // Late, not lost, while the output is still moving: the
+        // circuit behind it forwarding the packet whose start cleared
+        // the bit, or the output changing hands.
+        const Tick since =
+            std::max(readyClearedAt, hub.outputProgressAt(_id));
+        if (now() < since + limit) {
+            scheduleReadyCheck(since + limit);
+            return;
         }
-    }, sim::EventPriority::hardware);
+        if (farHubId >= 0 && out) {
+            // Ask a far HUB before presuming: an echo queues behind
+            // our packet in its input queue, so its answer comes
+            // after the ready signal unless the signal was lost.  No
+            // answer within a limit means the path is dead.
+            readyProbed = true;
+            readyProbeOutstanding = true;
+            ++readyProbeTag;
+            out->sendStolen(WireItem::command(
+                static_cast<std::uint8_t>(Op::echo),
+                static_cast<std::uint8_t>(farHubId), readyProbeTag));
+            scheduleReadyCheck(now() + limit);
+            return;
+        }
+    }
+    rearmReady();
+}
+
+void
+IoPort::rearmReady()
+{
+    if (readyWatchdog != sim::invalidEventId &&
+        eventq().pending(readyWatchdog))
+        eventq().cancel(readyWatchdog);
+    readyWatchdog = sim::invalidEventId;
+    readyBit = true;
+    hub.noteOutputMoved(_id);
+    hub.stats().readyRearms.add();
 }
 
 void
@@ -200,6 +268,87 @@ IoPort::dropHead()
     hub.monitorRecord(HubEvent::stuckDrop, _id, noPort);
 }
 
+bool
+IoPort::targetBusy() const
+{
+    const Op op = static_cast<Op>(cmdWord.op);
+    const PortId target = cmdWord.param;
+    if (!isOpen(op) || !hasRetry(op) || !hub.crossbar().valid(target))
+        return false;
+    return hub.crossbar().ownerOf(target) != noPort ||
+           (isTestOpen(op) && !hub.port(target).ready());
+}
+
+bool
+IoPort::awaitsReady() const
+{
+    const PortId target = cmdWord.param;
+    return isTestOpen(static_cast<Op>(cmdWord.op)) &&
+           hub.crossbar().valid(target) &&
+           hub.crossbar().ownerOf(target) == noPort &&
+           !hub.port(target).ready();
+}
+
+Tick
+IoPort::settleDeadline() const
+{
+    const HubConfig &cfg = hub.configuration();
+    Tick limit = cfg.stuckTimeout;
+    // A test-open retrying against a free output waits for its ready
+    // signal, which comes only when the far queue forwards the packet
+    // that cleared it: the far end's own contention, which this HUB
+    // cannot see.  The ready watchdog watches that wait (it probes a
+    // far HUB, and re-arms a lost signal), so give it the ready limit
+    // before the stuck limit starts.
+    if (awaitsReady())
+        limit += cfg.readyTimeout;
+    return std::max(cmdPendingSince,
+                    hub.outputProgressAt(cmdWord.param)) +
+           limit;
+}
+
+void
+IoPort::parkCommand()
+{
+    hub.controller().abandonFrom(_id);
+    cmdParked = true;
+    IoPort &target = hub.port(cmdWord.param);
+    if (std::find(target.parked.begin(), target.parked.end(), _id) ==
+        target.parked.end())
+        target.parked.push_back(_id);
+}
+
+void
+IoPort::wakeParked()
+{
+    // resubmitCommand() only files a controller command, so nothing
+    // re-enters the list while it is walked.
+    for (PortId p : parked)
+        hub.port(p).resubmitCommand();
+    parked.clear();
+}
+
+void
+IoPort::resubmitCommand()
+{
+    if (!cmdParked)
+        return;
+    cmdParked = false;
+    cmdResubmitted = true;
+    hub.controller().submit(cmdWord, _id);
+}
+
+void
+IoPort::commandRetrying()
+{
+    // A resubmitted command lost its chance: park it again until the
+    // output moves once more.
+    if (cmdResubmitted && targetBusy()) {
+        cmdResubmitted = false;
+        parkCommand();
+    }
+}
+
 Tick
 IoPort::tryDisposeHead()
 {
@@ -210,18 +359,32 @@ IoPort::tryDisposeHead()
     // after the close all has passed and leaves an orphaned crossbar
     // connection that no close all will ever reach — the held output
     // fails every later open and duplicates passing traffic onto a
-    // stale branch.  If the controller cannot settle the command
-    // within the stuck-head limit, withdraw it (so it can never
+    // stale branch.  If the output the command waits on stops moving
+    // for a whole stuck limit, withdraw the command (so it can never
     // execute late) and move on; reliability above retransmits
     // whatever the abandoned branch loses.
     if (cmdPending) {
-        const Tick limit = hub.configuration().stuckTimeout;
-        if (limit <= 0)
+        const Tick stuck = hub.configuration().stuckTimeout;
+        if (stuck <= 0)
             return sim::maxTick; // commandSettled() re-evaluates
-        if (now() - cmdPendingSince < limit)
-            return cmdPendingSince + limit;
+        const Tick deadline = settleDeadline();
+        if (now() < deadline) {
+            // A retrying command still pending a stuck limit after
+            // submission waits on a busy output: stop retrying it
+            // every few cycles and let that output's next move hand
+            // it back to the controller (wakeParked).  Parked, it
+            // cannot execute.
+            if (!cmdParked && !cmdResubmitted && targetBusy()) {
+                if (now() < cmdPendingSince + stuck)
+                    return cmdPendingSince + stuck;
+                parkCommand();
+            }
+            return deadline;
+        }
         hub.controller().abandonFrom(_id);
         cmdPending = false;
+        cmdParked = false;
+        cmdResubmitted = false;
         hub.stats().cmdAbandons.add();
         hub.countError();
         hub.monitorRecord(HubEvent::stuckDrop, _id, noPort);
@@ -249,6 +412,7 @@ IoPort::tryDisposeHead()
         if (needsController(static_cast<Op>(cmd.op))) {
             cmdPending = true;
             cmdPendingSince = now();
+            cmdWord = cmd;
         }
         hub.dispatchCommand(cmd, _id);
         return 0;
@@ -329,6 +493,7 @@ IoPort::forwardHead(const std::vector<PortId> &outputs)
         for (PortId o : outputs) {
             hub.stats().closes.add();
             hub.monitorRecord(HubEvent::connectionClose, _id, o);
+            hub.noteOutputMoved(o);
         }
         hub.crossbar().closeAllFrom(_id);
         hub.noteCircuitClosed();

@@ -44,8 +44,18 @@ class IoPort : public sim::Component, public phys::FiberSink
 
     PortId portId() const { return _id; }
 
-    /** Attach the outgoing fiber of this port's fiber pair. */
-    void attachOutput(phys::FiberLink &link) { out = &link; }
+    /**
+     * Attach the outgoing fiber of this port's fiber pair.
+     * @param farHub The id of the HUB at the far end of a trunk, or
+     *        -1 for an endpoint (a CAB); the ready watchdog probes a
+     *        far HUB before presuming a ready signal lost.
+     */
+    void
+    attachOutput(phys::FiberLink &link, int farHub = -1)
+    {
+        out = &link;
+        farHubId = farHub;
+    }
 
     /** The outgoing fiber, or nullptr if unattached. */
     phys::FiberLink *output() { return out; }
@@ -77,6 +87,18 @@ class IoPort : public sim::Component, public phys::FiberSink
      *        (replies and ready signals steal cycles; Section 4.2.1).
      */
     void transmit(const phys::WireItem &item, bool stolen = false);
+
+    /**
+     * The controller retried this port's command and it failed; a
+     * command handed back by wakeParked() parks again.
+     */
+    void commandRetrying();
+
+    /**
+     * This port, as an output, moved (closed, or its ready bit rose):
+     * hand every command parked on it back to the controller.
+     */
+    void wakeParked();
 
     /**
      * The central controller reached a final disposition for the
@@ -135,8 +157,40 @@ class IoPort : public sim::Component, public phys::FiberSink
     /** Watchdog: discard a head that stayed blocked past the limit. */
     void dropHead();
 
+    /** The pending command is a retrying open that the output it
+     *  names refuses now: held, or not ready for a test-open. */
+    bool targetBusy() const;
+
+    /** The pending command is a test-open waiting on a free output's
+     *  ready bit. */
+    bool awaitsReady() const;
+
+    /**
+     * When the settle watchdog may next withdraw the pending command:
+     * a whole stuck limit (plus the ready limit while the output it
+     * names waits for its ready signal) after the later of its
+     * submission and that output's last progress.
+     */
+    Tick settleDeadline() const;
+
+    /** Take the pending command out of the controller until the
+     *  output it waits on moves. */
+    void parkCommand();
+
+    /** Hand a parked command back to the controller. */
+    void resubmitCommand();
+
     /** Watchdog: re-arm the ready bit if its signal never arrives. */
     void armReadyWatchdog();
+
+    /** The ready watchdog's check: waits, probes or re-arms. */
+    void checkReady();
+
+    /** Run checkReady() at @p when. */
+    void scheduleReadyCheck(Tick when);
+
+    /** Presume the ready signal lost and set the bit. */
+    void rearmReady();
 
     Hub &hub;
     PortId _id;
@@ -157,8 +211,25 @@ class IoPort : public sim::Component, public phys::FiberSink
     bool cmdPending = false;
     /** When that command was submitted (settle-watchdog anchor). */
     Tick cmdPendingSince = 0;
+    /** That command's word: its op and the output it names. */
+    phys::CommandWord cmdWord;
+    /** That command is parked off the controller (parkCommand). */
+    bool cmdParked = false;
+    /** ... or was handed back and has not failed since. */
+    bool cmdResubmitted = false;
+    /** Ports whose command is parked on this output. */
+    std::vector<PortId> parked;
     /** Pending ready-bit watchdog, cancelled when the signal arrives. */
     sim::EventId readyWatchdog = sim::invalidEventId;
+    /** When the ready bit last cleared (ready-watchdog anchor). */
+    Tick readyClearedAt = 0;
+    /** The far-end HUB's id (-1: an endpoint), and the ready probe:
+     *  an echo to it with tag readyProbeTag awaits its answer. */
+    int farHubId = -1;
+    std::uint8_t readyProbeTag = 0;
+    bool readyProbeOutstanding = false;
+    /** The current ready wait has probed (its bound is running). */
+    bool readyProbed = false;
 };
 
 } // namespace nectar::hub

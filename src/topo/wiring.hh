@@ -72,8 +72,8 @@ class Wiring
                                 "->" + a.name() + ".p" +
                                 std::to_string(pa),
                             a.port(pa), propDelay, byteTime);
-        a.port(pa).attachOutput(ab);
-        b.port(pb).attachOutput(ba);
+        a.port(pa).attachOutput(ab, b.hubId());
+        b.port(pb).attachOutput(ba, a.hubId());
         return FiberPair{&ab, &ba};
     }
 

@@ -272,6 +272,57 @@ TEST_F(HubTest, HeadWhoseCircuitClosesIsDroppedAfterItsWakeup)
     EXPECT_EQ(firstDrop, cutThrough + cfg.stuckTimeout);
 }
 
+TEST_F(HubTest, SettleWatchdogWaitsWhileTheOutputKeepsForwarding)
+{
+    // An open retrying against an output whose circuit keeps
+    // forwarding has a wakeup in sight: it waits out the circuit,
+    // however long, and is never withdrawn.
+    makeHub();
+    auto &a = addEp(0);
+    auto &b = addEp(1);
+    addEp(2);
+    b.sendCommand(Op::openRetry, 0, 2);
+    eq.run();
+    ASSERT_EQ(h->crossbar().ownerOf(2), 1);
+
+    const Tick t0 = eq.now();
+    const Tick gap = h->configuration().stuckTimeout / 2;
+    for (int i = 0; i < 8; ++i)
+        eq.schedule(t0 + i * gap,
+                    [&b, i] { b.sendPacket(iotaBytes(64), i == 7); });
+    eq.schedule(t0 + 1 * us, [&a] {
+        a.sendCommand(Op::openRetry, 0, 2);
+        a.sendPacket(iotaBytes(64), /*closeAllAfter=*/true);
+    });
+    eq.run();
+
+    EXPECT_EQ(h->stats().cmdAbandons.value(), 0u);
+    EXPECT_EQ(h->stats().stuckDrops.value(), 0u);
+    EXPECT_EQ(h->crossbar().connectionCount(), 0);
+    EXPECT_EQ(eps[2]->dataBytes(), 9u * 64u);
+}
+
+TEST_F(HubTest, SettleWatchdogWithdrawsAnOpenOnASilentOutput)
+{
+    // The circuit holding the output never moves again: a whole stuck
+    // limit later the waiting open is withdrawn, and can never
+    // execute after that.
+    makeHub();
+    auto &a = addEp(0);
+    auto &b = addEp(1);
+    addEp(2);
+    b.sendCommand(Op::openRetry, 0, 2);
+    eq.run();
+    a.sendCommand(Op::openRetry, 0, 2);
+    a.sendPacket(iotaBytes(64), /*closeAllAfter=*/true);
+    eq.run();
+
+    EXPECT_EQ(h->stats().cmdAbandons.value(), 1u);
+    EXPECT_EQ(h->crossbar().ownerOf(2), 1);
+    EXPECT_EQ(h->controller().backlog(), 0u);
+    EXPECT_EQ(eps[2]->dataBytes(), 0u);
+}
+
 namespace {
 
 /**
@@ -594,6 +645,89 @@ class MultiHubTest : public ::testing::Test
         }
     }
 };
+
+namespace {
+
+/** H0 port 8 -- H1 port 3, a source on H0 port 0, a sink on H1 port 9,
+ *  and a second source on H1 port 5. */
+struct TwoHubTrunk
+{
+    explicit TwoHubTrunk(sim::EventQueue &eq)
+        : topo(eq), src(eq), dst(eq), rival(eq)
+    {
+        topo.addHub("H0");
+        topo.addHub("H1");
+        topo.linkHubs(0, 8, 1, 3);
+        src.attachTx(topo.attachEndpoint(src, 0, 0, "src"));
+        dst.attachTx(topo.attachEndpoint(dst, 1, 9, "dst"));
+        rival.attachTx(topo.attachEndpoint(rival, 1, 5, "rival"));
+    }
+
+    /** A packet-switched frame from src to dst. */
+    void
+    sendFrame()
+    {
+        for (const auto &hop : topo.route({0, 0}, {1, 9}))
+            src.sendCommand(Op::testOpenRetry, hop.hubId, hop.outPort);
+        src.sendPacket(iotaBytes(64), /*closeAllAfter=*/true);
+    }
+
+    topo::Topology topo;
+    TestEndpoint src, dst, rival;
+};
+
+} // namespace
+
+TEST(HubReadyWatchdog, WaitsForAFarQueueThatIsLate)
+{
+    // The far queue holds our packet behind a busy output for longer
+    // than the ready limit.  The trunk's ready watchdog probes the far
+    // HUB, whose answer queues behind the packet, so the ready signal
+    // comes first and the bit is never presumed lost.
+    sim::EventQueue eq;
+    TwoHubTrunk t(eq);
+    hub::Hub &h0 = t.topo.hubAt(0);
+    const Tick limit = h0.configuration().readyTimeout;
+    t.rival.sendCommand(Op::openRetry, 1, 9);
+    eq.run();
+    const Tick t0 = eq.now();
+    const Tick gap = 100 * us;
+    const int packets = static_cast<int>((limit * 8 / 5) / gap);
+    for (int i = 0; i < packets; ++i)
+        eq.schedule(t0 + i * gap, [&t, i, packets] {
+            t.rival.sendPacket(iotaBytes(64), i == packets - 1);
+        });
+    eq.schedule(t0 + 1 * us, [&t] { t.sendFrame(); });
+    eq.run();
+
+    EXPECT_EQ(h0.stats().readyRearms.value(), 0u);
+    EXPECT_TRUE(h0.port(8).ready());
+    EXPECT_EQ(t.dst.dataBytes(), 64u * (packets + 1));
+}
+
+TEST(HubReadyWatchdog, RearmsOnceTheProbeIsAnsweredFirst)
+{
+    // The far HUB's ready signal dies on a dark fiber.  The probe's
+    // answer comes back with the bit still clear, so the signal is
+    // presumed lost at once instead of after a second limit.
+    sim::EventQueue eq;
+    TwoHubTrunk t(eq);
+    hub::Hub &h0 = t.topo.hubAt(0);
+    const Tick limit = h0.configuration().readyTimeout;
+    phys::FiberLink *back = t.topo.hubLinks().front().ba;
+    back->setLinkUp(false);
+    t.sendFrame();
+    eq.schedule(50 * us, [back] { back->setLinkUp(true); });
+    bool rearmedInTime = false;
+    eq.schedule(limit + 100 * us, [&] {
+        rearmedInTime = h0.stats().readyRearms.value() == 1;
+    });
+    eq.run();
+
+    EXPECT_TRUE(rearmedInTime);
+    EXPECT_EQ(h0.stats().readyRearms.value(), 1u);
+    EXPECT_TRUE(h0.port(8).ready());
+}
 
 TEST_F(MultiHubTest, CircuitSwitchingTwoHubs)
 {
