@@ -33,6 +33,7 @@
  * horizons) no fixed scenario covers.
  */
 
+#include <algorithm>
 #include <cstdint>
 #include <vector>
 
@@ -142,21 +143,39 @@ constexpr std::uint64_t goldenServingOpensFailed = 14116;  // 8561
 constexpr std::uint64_t goldenServingBehaviour =
     586030110236866819ULL; // 2449091221432250771
 
+/** The seed engine has no rearm(): cancel + schedule, which rearm()'s
+ *  contract calls trace-equivalent (every timer's callback is empty
+ *  and software-priority). */
+LegacyEventQueue::EventId
+rearmTimer(LegacyEventQueue &eq, LegacyEventQueue::EventId id, Tick when)
+{
+    if (!eq.cancel(id))
+        return 0; // the seed engine numbers its events from 1
+    return eq.schedule(when, [] {}, EventPriority::software);
+}
+
+sim::EventId
+rearmTimer(sim::EventQueue &eq, sim::EventId id, Tick when)
+{
+    return eq.rearm(id, when);
+}
+
 /**
  * Drive @p eq with a seeded workload mixing the shapes the real stack
  * produces: dense near-future hardware events, same-tick priority
  * collisions, immediate software wakeups, retransmission-style timers
- * that are almost always cancelled or re-armed, and the occasional
- * far-future event (beyond the wheel horizon).  Every op draws from
- * @p rng identically for both engines; handles are tracked by
- * position so the op stream never depends on handle *values*.
+ * that are almost always cancelled or re-armed (earlier, later or to
+ * the current tick), and the occasional far-future event (beyond the
+ * wheel horizon).  Every op draws from @p rng identically for both
+ * engines; handles are tracked by position so the op stream never
+ * depends on handle *values*.  @p drain runs the queue dry.
  */
-template <typename Queue>
+template <typename Queue, typename Drain>
 std::uint64_t
-churnFingerprint(Queue &eq, std::uint64_t seed)
+churnFingerprint(Queue &eq, std::uint64_t seed, Drain drain)
 {
-    // nectar-lint-file: capture-ok eq.run() drains before any
-    // captured frame local leaves scope
+    // nectar-lint-file: capture-ok drain() empties the queue before
+    // any captured frame local leaves scope
 
     sim::Random rng(seed, /*stream=*/7);
     std::vector<typename Queue::EventId> timers;
@@ -168,11 +187,11 @@ churnFingerprint(Queue &eq, std::uint64_t seed)
             return;
         const std::function<void()> &again = body;
         int shape = rng.range(0, 99);
-        if (shape < 40) {
+        if (shape < 35) {
             // Dense hardware tick, HUB-cycle spacing.
             eq.scheduleIn(70 * sim::ticks::ns, again,
                           EventPriority::hardware);
-        } else if (shape < 55) {
+        } else if (shape < 50) {
             // Same-tick priority collision.
             eq.scheduleIn(80 * sim::ticks::ns, again,
                           EventPriority::hardware);
@@ -180,20 +199,20 @@ churnFingerprint(Queue &eq, std::uint64_t seed)
                           EventPriority::software);
             eq.scheduleIn(80 * sim::ticks::ns, [] {},
                           EventPriority::stats);
-        } else if (shape < 70) {
+        } else if (shape < 62) {
             // Immediate software wakeup (channel/mutex shape).
             eq.scheduleIn(sim::ticks::immediate, again,
                           EventPriority::software);
-        } else if (shape < 85) {
-            // RTO-style timer: armed, then usually cancelled before
-            // expiry by a later event.
+        } else if (shape < 77) {
+            // RTO-style timer: armed, then usually cancelled or
+            // re-armed before expiry by a later event.
             auto id = eq.scheduleIn(
                 (1 + rng.range(0, 3)) * sim::ticks::ms, [] {},
                 EventPriority::software);
             timers.push_back(id);
             eq.scheduleIn(rng.range(1, 200) * sim::ticks::us, again,
                           EventPriority::software);
-        } else if (shape < 95 && !timers.empty()) {
+        } else if (shape < 85 && !timers.empty()) {
             // Cancel a previously armed timer (position-addressed).
             std::size_t k = rng.below(
                 static_cast<std::uint32_t>(timers.size()));
@@ -202,11 +221,30 @@ churnFingerprint(Queue &eq, std::uint64_t seed)
                          static_cast<std::ptrdiff_t>(k));
             eq.scheduleIn(rng.range(1, 50) * sim::ticks::us, again,
                           EventPriority::normal);
+        } else if (shape < 95 && !timers.empty()) {
+            // Re-arm a timer on "ack": mostly later than its filed
+            // deadline (the lazy path), sometimes earlier or now.
+            std::size_t k = rng.below(
+                static_cast<std::uint32_t>(timers.size()));
+            timers[k] = rearmTimer(
+                eq, timers[k],
+                eq.now() + rng.range(0, 4000) * sim::ticks::us);
+            eq.scheduleIn(rng.range(1, 50) * sim::ticks::us, again,
+                          EventPriority::normal);
         } else {
-            // Far-future event, beyond any wheel horizon.
-            eq.scheduleIn(5 * sim::ticks::sec +
-                              rng.range(0, 1000) * sim::ticks::ms,
-                          [] {}, EventPriority::last);
+            // Far-future event, beyond any wheel horizon, on a whole
+            // millisecond.  Its follow-up lands in the wheel and often
+            // on the tick of a far event still waiting in the heap.
+            const Tick at = (eq.now() / sim::ticks::ms + 5000 +
+                             rng.range(0, 1000)) *
+                            sim::ticks::ms;
+            eq.schedule(
+                at,
+                [&eq] {
+                    eq.scheduleIn(1 * sim::ticks::ms, [] {},
+                                  EventPriority::last);
+                },
+                EventPriority::last);
             eq.scheduleIn(rng.range(1, 10) * sim::ticks::us, again,
                           EventPriority::normal);
         }
@@ -215,8 +253,25 @@ churnFingerprint(Queue &eq, std::uint64_t seed)
     for (int i = 0; i < 8; ++i)
         eq.scheduleIn(i * sim::ticks::us, body,
                       EventPriority::normal);
-    eq.run();
+    drain(eq);
     return eq.fingerprint();
+}
+
+/** Run @p eq up to tick @p end through runUntil() slices of seeded
+ *  length, drawn from a stream of their own so the workload's draws
+ *  stay the same.  A slice that ends between events leaves the wheel
+ *  cursor past now(), so events fired next can schedule behind it. */
+void
+runInSlices(sim::EventQueue &eq, std::uint64_t seed, Tick end)
+{
+    sim::Random rng(seed, /*stream=*/8);
+    while (eq.now() < end) {
+        const int shape = rng.range(0, 9);
+        const Tick len = shape == 0  ? 0
+                         : shape < 6 ? rng.range(1, 300) * sim::ticks::ns
+                                     : rng.range(1, 200) * sim::ticks::us;
+        eq.runUntil(std::min(eq.now() + len, end));
+    }
 }
 
 } // namespace
@@ -307,14 +362,32 @@ TEST(GoldenFingerprint, ServingPastKneeMatchesBehaviourPin)
 
 TEST(GoldenFingerprint, ChurnWorkloadMatchesLegacyModel)
 {
+    const auto runDry = [](auto &q) { q.run(); };
     for (std::uint64_t seed : {1ULL, 42ULL, 20260805ULL}) {
         LegacyEventQueue legacy;
-        sim::EventQueue current;
-        std::uint64_t want = churnFingerprint(legacy, seed);
-        std::uint64_t got = churnFingerprint(current, seed);
-        EXPECT_EQ(got, want) << "seed " << seed;
-        EXPECT_EQ(current.executedCount(), legacy.executedCount())
+        const std::uint64_t want = churnFingerprint(legacy, seed, runDry);
+
+        sim::EventQueue whole;
+        EXPECT_EQ(churnFingerprint(whole, seed, runDry), want)
             << "seed " << seed;
-        EXPECT_EQ(current.now(), legacy.now()) << "seed " << seed;
+        EXPECT_EQ(whole.executedCount(), legacy.executedCount())
+            << "seed " << seed;
+        EXPECT_EQ(whole.now(), legacy.now()) << "seed " << seed;
+        EXPECT_GT(whole.lazyRearmCount(), 0u) << "seed " << seed;
+
+        // The same workload through runUntil() peeks, up to the tick
+        // the seed engine's last event fired at.
+        const Tick end = legacy.now();
+        sim::EventQueue sliced;
+        EXPECT_EQ(churnFingerprint(sliced, seed,
+                                   [seed, end](sim::EventQueue &q) {
+                                       runInSlices(q, seed, end);
+                                   }),
+                  want)
+            << "seed " << seed;
+        EXPECT_EQ(sliced.executedCount(), legacy.executedCount())
+            << "seed " << seed;
+        EXPECT_TRUE(sliced.empty()) << "seed " << seed;
+        EXPECT_GT(sliced.lazyRearmCount(), 0u) << "seed " << seed;
     }
 }
