@@ -113,37 +113,37 @@ EventQueue::decode(EventId id) const
     return n;
 }
 
-EventQueue::HeapEntry
-EventQueue::entryFor(const EventNode *n) const
-{
-    return HeapEntry{n->when, n->seq, n->prio, n->gen, n->idx};
-}
-
-// ---- heaps ---------------------------------------------------------
+// ---- heap ----------------------------------------------------------
 
 void
-EventQueue::heapPush(MinHeap &h, const HeapEntry &e)
+EventQueue::heapPush(const EventNode *n)
 {
-    h.push_back(e);
-    std::push_heap(h.begin(), h.end(), HeapLater{});
+    _heap.push_back(HeapEntry{n->when, n->seq, n->prio, n->gen, n->idx});
+    std::push_heap(_heap.begin(), _heap.end(), HeapLater{});
 }
 
 void
-EventQueue::heapPop(MinHeap &h)
+EventQueue::heapPop()
 {
-    std::pop_heap(h.begin(), h.end(), HeapLater{});
-    h.pop_back();
+    std::pop_heap(_heap.begin(), _heap.end(), HeapLater{});
+    _heap.pop_back();
 }
 
 void
-EventQueue::heapPrune(MinHeap &h)
+EventQueue::heapPrune()
 {
-    while (!h.empty()) {
-        const HeapEntry &e = h.front();
+    while (!_heap.empty()) {
+        const HeapEntry &e = _heap.front();
         if (_nodes[e.node]->gen == e.gen)
             return;
-        heapPop(h); // stale: event was cancelled or re-armed
+        heapPop(); // stale: event was cancelled or re-armed
     }
+}
+
+Tick
+EventQueue::heapTop() const
+{
+    return _heap.empty() ? noTick : _heap.front().when;
 }
 
 // ---- wheel ---------------------------------------------------------
@@ -191,18 +191,14 @@ void
 EventQueue::place(EventNode *n)
 {
     const Tick when = n->when;
-    if (when < _cursor) {
-        // Behind the scan position (only possible after a runUntil()
-        // peek advanced _cursor past _now): park in the early heap.
-        n->state = NodeState::early;
-        heapPush(_early, entryFor(n));
-        return;
-    }
     const auto x = static_cast<std::uint64_t>(when) ^
                    static_cast<std::uint64_t>(_cursor);
-    if ((x >> wheelHorizonBits) != 0) {
-        n->state = NodeState::far;
-        heapPush(_far, entryFor(n));
+    // Due now, behind the scan position (only possible after a
+    // runUntil() peek advanced _cursor past _now), or beyond the
+    // horizon: the heap keeps it.
+    if (when == _now || when < _cursor || (x >> wheelHorizonBits) != 0) {
+        n->state = NodeState::heap;
+        heapPush(n);
         return;
     }
     // Highest differing bit picks the level (0 when x == 0: due
@@ -275,7 +271,7 @@ EventQueue::wheelNextTick()
         }
         if (!cascaded) {
             // A cascade can push every resident past the horizon
-            // (lazily re-armed nodes re-placed into the far heap).
+            // (lazily re-armed nodes re-placed into the heap).
             SIM_INVARIANT(_wheelCount == 0,
                           "wheel scan must find every resident");
             return noTick;
@@ -284,53 +280,30 @@ EventQueue::wheelNextTick()
 }
 
 void
-EventQueue::pullTick(Tick t, bool fromWheel)
+EventQueue::pullTick(Tick t)
 {
-    if (fromWheel) {
-        SIM_INVARIANT(t >= _cursor, "wheel next tick is >= cursor");
-        _cursor = t;
-        const int s = static_cast<int>(t & (slots - 1));
-        auto &lv = _wheel[0];
-        EventNode *n = lv.head[static_cast<std::size_t>(s)];
-        lv.head[static_cast<std::size_t>(s)] = nullptr;
-        lv.bitmap[static_cast<std::size_t>(s >> 6)] &=
-            ~(1ULL << (s & 63));
-        while (n != nullptr) {
-            EventNode *next = n->next;
-            n->prev = n->next = nullptr;
-            --_wheelCount;
-            if (n->when == t) {
-                n->state = NodeState::due;
-                heapPush(_due, entryFor(n));
-            } else {
-                // Lazily re-armed to a later tick: re-file now.
-                SIM_INVARIANT(n->when > t,
-                              "deferred node must be re-armed later");
-                place(n);
-            }
-            n = next;
+    SIM_INVARIANT(t >= _cursor, "wheel next tick is >= cursor");
+    _cursor = t;
+    const int s = static_cast<int>(t & (slots - 1));
+    auto &lv = _wheel[0];
+    EventNode *n = lv.head[static_cast<std::size_t>(s)];
+    lv.head[static_cast<std::size_t>(s)] = nullptr;
+    lv.bitmap[static_cast<std::size_t>(s >> 6)] &= ~(1ULL << (s & 63));
+    while (n != nullptr) {
+        EventNode *next = n->next;
+        n->prev = n->next = nullptr;
+        --_wheelCount;
+        if (n->when == t) {
+            n->state = NodeState::heap;
+            heapPush(n);
+        } else {
+            // Lazily re-armed to a later tick: re-file now.
+            SIM_INVARIANT(n->when > t,
+                          "deferred node must be re-armed later");
+            place(n);
         }
-    } else if (_wheelCount == 0 && t > _cursor) {
-        // Nothing filed: drag the cursor along so future schedules
-        // land back in the wheel instead of the far heap.
-        _cursor = t;
+        n = next;
     }
-    const auto drain = [this, t](MinHeap &h) {
-        while (!h.empty()) {
-            const HeapEntry e = h.front();
-            if (_nodes[e.node]->gen != e.gen) {
-                heapPop(h); // stale
-                continue;
-            }
-            if (e.when != t)
-                break;
-            heapPop(h);
-            _nodes[e.node]->state = NodeState::due;
-            heapPush(_due, e);
-        }
-    };
-    drain(_early);
-    drain(_far);
 }
 
 // ---- scheduling API ------------------------------------------------
@@ -349,12 +322,7 @@ EventQueue::schedule(Tick when, EventFn fn, EventPriority prio)
     n->prio = static_cast<int>(prio);
     n->fn = std::move(fn);
     ++_pending;
-    if (when == _now) {
-        n->state = NodeState::due;
-        heapPush(_due, entryFor(n));
-    } else {
-        place(n);
-    }
+    place(n);
     return makeId(n);
 }
 
@@ -367,7 +335,7 @@ EventQueue::cancel(EventId id)
     if (n->state == NodeState::wheel)
         wheelUnlink(n);
     // Heap residents leave a stale entry behind; the generation bump
-    // below invalidates it and heapPrune()/pullTick() skip it.
+    // below invalidates it and heapPrune() skips it.
     bumpGen(n);
     retire(n);
     --_pending;
@@ -400,12 +368,7 @@ EventQueue::rearm(EventId id, Tick when)
     if (n->state == NodeState::wheel)
         wheelUnlink(n);
     n->when = when;
-    if (when == _now) {
-        n->state = NodeState::due;
-        heapPush(_due, entryFor(n));
-    } else {
-        place(n);
-    }
+    place(n);
     return makeId(n);
 }
 
@@ -423,59 +386,64 @@ EventQueue::nextTick()
     SIM_INVARIANT(_ready == nullptr,
                   "previous ready node must have been consumed");
     while (true) {
-        heapPrune(_due);
-        const Tick due = _due.empty() ? noTick : _due.front().when;
-        if (due == _now)
-            return due; // same-tick chain: nothing can precede it
-        heapPrune(_early);
-        heapPrune(_far);
+        heapPrune();
+        if (heapTop() == _now)
+            return _now; // same-tick chain: nothing can precede it
         const Tick wheel = wheelNextTick();
-        const Tick early =
-            _early.empty() ? noTick : _early.front().when;
-        const Tick far = _far.empty() ? noTick : _far.front().when;
-        const Tick t =
-            std::min(std::min(due, wheel), std::min(early, far));
-        if (t == noTick)
-            return noTick;
-        if (t == wheel && due == noTick && early != t && far != t) {
-            // Direct-fire fast path: the only candidate at t is the
-            // wheel's level-0 slot.  If it holds a single node due
-            // exactly at t, skip the due-heap round trip entirely.
-            const int s = static_cast<int>(t & (slots - 1));
-            auto &lv = _wheel[0];
-            EventNode *n = lv.head[static_cast<std::size_t>(s)];
-            if (n != nullptr && n->next == nullptr && n->when == t) {
-                _cursor = t;
-                lv.head[static_cast<std::size_t>(s)] = nullptr;
-                lv.bitmap[static_cast<std::size_t>(s >> 6)] &=
-                    ~(1ULL << (s & 63));
-                --_wheelCount;
-                n->prev = nullptr;
-                n->state = NodeState::due;
-                _ready = n;
-                return t;
-            }
+        // Read after the wheel scan: a cascade can move lazily
+        // re-armed nodes past the horizon into the heap.
+        const Tick heap = heapTop();
+        if (heap < wheel) {
+            // Nothing filed: drag the cursor along so future
+            // schedules land back in the wheel instead of the heap.
+            if (_wheelCount == 0 && heap > _cursor)
+                _cursor = heap;
+            return heap;
         }
-        pullTick(t, wheel == t);
-        heapPrune(_due);
-        if (!_due.empty() && _due.front().when == t)
-            return t;
+        if (wheel == noTick)
+            return noTick;
+        const int s = static_cast<int>(wheel & (slots - 1));
+        auto &lv = _wheel[0];
+        EventNode *n = lv.head[static_cast<std::size_t>(s)];
+        if (heap != wheel && n->next == nullptr && n->when == wheel) {
+            // Direct-fire fast path: the only candidate at this tick
+            // is a single wheel node; skip the heap round trip.
+            _cursor = wheel;
+            lv.head[static_cast<std::size_t>(s)] = nullptr;
+            lv.bitmap[static_cast<std::size_t>(s >> 6)] &=
+                ~(1ULL << (s & 63));
+            --_wheelCount;
+            n->state = NodeState::heap;
+            _ready = n;
+            return wheel;
+        }
+        pullTick(wheel);
+        if (heapTop() == wheel)
+            return wheel;
         // The pulled slot held only deferred re-arms; scan again.
     }
 }
 
 void
-EventQueue::fireNode(EventNode *n, Tick when, int prio,
-                     std::uint64_t seq)
+EventQueue::fireTop()
 {
-    SIM_INVARIANT(when >= _now,
+    EventNode *n = _ready;
+    if (n != nullptr) {
+        _ready = nullptr;
+    } else {
+        n = _nodes[_heap.front().node].get();
+        SIM_INVARIANT(n->gen == _heap.front().gen,
+                      "fired entry must be fresh");
+        heapPop();
+    }
+    SIM_INVARIANT(n->when >= _now,
                   "event-time monotonicity: popped event lies in "
                   "the past");
-    _now = when;
+    _now = n->when;
     ++_executed;
-    mixFingerprint(static_cast<std::uint64_t>(when));
-    mixFingerprint(static_cast<std::uint64_t>(prio));
-    mixFingerprint(seq);
+    mixFingerprint(static_cast<std::uint64_t>(n->when));
+    mixFingerprint(static_cast<std::uint64_t>(n->prio));
+    mixFingerprint(n->seq);
     // Recycle the node before invoking, so a handler scheduling a new
     // event reuses it and cancel-self returns false (as in the seed
     // engine, where the live-set erase preceded the call).
@@ -486,140 +454,13 @@ EventQueue::fireNode(EventNode *n, Tick when, int prio,
     fn();
 }
 
-void
-EventQueue::fireTop()
-{
-    if (_ready != nullptr) {
-        EventNode *n = _ready;
-        _ready = nullptr;
-        fireNode(n, n->when, n->prio, n->seq);
-        return;
-    }
-    const HeapEntry e = _due.front();
-    heapPop(_due);
-    EventNode *n = _nodes[e.node].get();
-    SIM_INVARIANT(n->gen == e.gen, "fired entry must be fresh");
-    fireNode(n, e.when, e.prio, e.seq);
-}
-
-std::uint64_t
-EventQueue::fireTick(Tick t, std::uint64_t budget)
-{
-    std::uint64_t fired = 0;
-    SIM_INVARIANT(_ready == nullptr,
-                  "fireTick batch path runs off the due heap");
-
-    // Extract the equal-timestamp run out of the due heap in one
-    // linear pass (dropping stale entries as we go), then restore the
-    // heap property over the survivors.  The due heap can legitimately
-    // hold future-tick entries here — a runUntil() peek that overshot
-    // re-files its candidate — so partition by tick, don't assume the
-    // heap is homogeneous.
-    std::vector<HeapEntry> batch = std::move(_batchScratch);
-    batch.clear();
-    std::size_t keep = 0;
-    for (std::size_t i = 0; i < _due.size(); ++i) {
-        const HeapEntry &e = _due[i];
-        if (_nodes[e.node]->gen != e.gen)
-            continue; // stale: cancelled or re-armed
-        if (e.when == t)
-            batch.push_back(e);
-        else
-            _due[keep++] = e;
-    }
-    _due.resize(keep);
-    std::make_heap(_due.begin(), _due.end(), HeapLater{});
-    std::sort(batch.begin(), batch.end(),
-              [](const HeapEntry &a, const HeapEntry &b) {
-                  if (a.prio != b.prio)
-                      return a.prio < b.prio;
-                  return a.seq < b.seq;
-              });
-
-    for (std::size_t bi = 0; bi < batch.size(); ++bi) {
-        const HeapEntry e = batch[bi];
-        bool dead = false;
-        // Events scheduled at t *during* the batch land in the due
-        // heap with fresh (larger) sequence numbers; any of them in a
-        // stronger priority class (e.g. a front continuation) must
-        // fire before the rest of the batch, exactly as the per-event
-        // engine would have ordered them.
-        while (true) {
-            if (_nodes[e.node]->gen != e.gen) {
-                dead = true; // a fired event cancelled/re-armed it
-                break;
-            }
-            heapPrune(_due);
-            if (_due.empty() || _due.front().when != t)
-                break;
-            const HeapEntry &top = _due.front();
-            if (top.prio > e.prio ||
-                (top.prio == e.prio && top.seq > e.seq))
-                break;
-            fireTop();
-            ++fired;
-            if (fired >= budget)
-                break;
-        }
-        if (dead)
-            continue;
-        if (fired >= budget ||
-            _nodes[e.node]->gen != e.gen) {
-            // Out of budget (or e died on the final interleave): put
-            // the unfired tail back for the next fireTick() round.
-            for (std::size_t j = bi; j < batch.size(); ++j) {
-                const HeapEntry &r = batch[j];
-                if (_nodes[r.node]->gen == r.gen &&
-                    (j > bi || fired >= budget))
-                    heapPush(_due, r);
-            }
-            break;
-        }
-        fireNode(_nodes[e.node].get(), e.when, e.prio, e.seq);
-        ++fired;
-        if (fired >= budget) {
-            for (std::size_t j = bi + 1; j < batch.size(); ++j) {
-                const HeapEntry &r = batch[j];
-                if (_nodes[r.node]->gen == r.gen)
-                    heapPush(_due, r);
-            }
-            break;
-        }
-    }
-    batch.clear();
-    _batchScratch = std::move(batch);
-    return fired;
-}
-
-bool
-EventQueue::step()
-{
-    if (nextTick() == noTick)
-        return false;
-    fireTop();
-    return true;
-}
-
 std::uint64_t
 EventQueue::run(std::uint64_t limit)
 {
-    // Tiny due heaps fire per-event: below this size fireTick()'s
-    // extraction pass costs more than the heap pops it saves.  Firing
-    // one event and re-entering nextTick() (which early-outs on
-    // due == now) is exactly the per-event engine's order, so the
-    // small path is always safe to take.
-    constexpr std::size_t batchThreshold = 4;
     std::uint64_t n = 0;
-    while (n < limit) {
-        const Tick t = nextTick();
-        if (t == noTick)
-            break;
-        if (_ready != nullptr || _due.size() < batchThreshold) {
-            fireTop();
-            ++n;
-            continue;
-        }
-        n += fireTick(t, limit - n);
+    while (n < limit && nextTick() != noTick) {
+        fireTop();
+        ++n;
     }
     if (n == limit)
         warn("EventQueue::run: event limit reached");
@@ -632,27 +473,20 @@ EventQueue::runUntil(Tick until, std::uint64_t limit)
     if (until < _now)
         panic("EventQueue::runUntil: target tick in the past");
 
-    constexpr std::size_t batchThreshold = 4; // see run()
     std::uint64_t n = 0;
     Tick t = noTick;
     while (true) {
         t = nextTick();
-        if (t == noTick || t > until || n == limit) {
-            if (_ready != nullptr) {
-                // The peeked tick is not fired: put the direct-fire
-                // candidate back (it already counts as due; see
-                // nextTick()).
-                heapPush(_due, entryFor(_ready));
-                _ready = nullptr;
-            }
+        if (t == noTick || t > until || n == limit)
             break;
-        }
-        if (_ready != nullptr || _due.size() < batchThreshold) {
-            fireTop();
-            ++n;
-            continue;
-        }
-        n += fireTick(t, limit - n);
+        fireTop();
+        ++n;
+    }
+    if (_ready != nullptr) {
+        // The peeked tick is not fired: put the direct-fire candidate
+        // into the heap.
+        heapPush(_ready);
+        _ready = nullptr;
     }
     if (n == limit)
         warn("EventQueue::runUntil: event limit reached");

@@ -16,14 +16,12 @@
  *    EventNodes, with one occupancy bitmap word set per 64 slots, so
  *    schedule() and cancel() are O(1) and finding the next event is
  *    a handful of bitmap scans.
- *  - Events beyond the wheel horizon wait in a far-future heap;
- *    events scheduled into a gap the wheel cursor has already passed
- *    (possible only after a runUntil() peek) wait in a tiny "early"
- *    heap.  Both are ordered by (tick, priority, sequence).
- *  - All events due at the current tick sit in a small "due" heap
- *    ordered by (priority, sequence) — same-tick scheduling during
- *    execution interleaves exactly as the seed engine's single heap
- *    did.
+ *  - One min-heap ordered by (tick, priority, sequence) holds every
+ *    event the wheel does not: those due at the tick being executed
+ *    (so same-tick scheduling during execution interleaves exactly
+ *    as the seed engine's single heap did), those beyond the wheel
+ *    horizon, and those scheduled into a gap the wheel cursor has
+ *    already passed (possible only after a runUntil() peek).
  *  - EventIds are generation-tagged handles (generation in the high
  *    32 bits, pool index in the low 32), so cancel()/pending() are
  *    O(1) pointer probes with no side hash set, and a recycled node
@@ -235,7 +233,7 @@ class EventQueue
   private:
     // One level-0 slot per tick; 256 slots per level; four levels
     // cover ticks [cursor, cursor + 2^32) — about 4.3 simulated
-    // seconds ahead — before the far-future heap takes over.
+    // seconds ahead — before the heap takes over.
     static constexpr int slotBits = 8;
     static constexpr int slots = 1 << slotBits;
     static constexpr int levels = 4;
@@ -246,9 +244,7 @@ class EventQueue
     enum class NodeState : std::uint8_t {
         free,
         wheel, ///< linked into a wheel slot
-        due,   ///< in the current-tick due heap
-        early, ///< in the early heap (behind the wheel cursor)
-        far,   ///< in the far-future heap (beyond the wheel horizon)
+        heap,  ///< in the heap, or parked in _ready
     };
 
     /** A pooled, intrusively linked event. */
@@ -293,8 +289,6 @@ class EventQueue
         std::array<std::uint64_t, bitmapWords> bitmap{};
     };
 
-    using MinHeap = std::vector<HeapEntry>;
-
     EventNode *allocNode();
     /** Bump @p n's generation (old handles/heap entries go stale). */
     static void bumpGen(EventNode *n);
@@ -302,9 +296,9 @@ class EventQueue
     void retire(EventNode *n);
     EventNode *decode(EventId id) const;
     static EventId makeId(const EventNode *n);
-    HeapEntry entryFor(const EventNode *n) const;
 
-    /** File a node (when > now) into wheel, early or far storage. */
+    /** File a node into the wheel, or into the heap when it is due
+     *  now, behind the cursor or beyond the wheel horizon. */
     void place(EventNode *n);
     void wheelLink(EventNode *n, int level);
     void wheelUnlink(EventNode *n);
@@ -318,48 +312,30 @@ class EventQueue
      */
     Tick wheelNextTick();
 
-    /** Move every event due at @p t into the due heap.  @p fromWheel
-     *  says the wheel's next tick is @p t, so its slot is drained. */
-    void pullTick(Tick t, bool fromWheel);
+    /** Move the wheel's level-0 slot for tick @p t (the wheel's next
+     *  tick) into the heap, re-filing lazily re-armed nodes. */
+    void pullTick(Tick t);
 
     /**
-     * Tick of the next live event anywhere (pulled into the due heap
-     * as a side effect), or maxTick.  After a non-maxTick return the
-     * due heap's top is the fresh minimal event.
+     * Tick of the next live event anywhere, or maxTick.  After a
+     * non-maxTick return, _ready or else the heap's top is the fresh
+     * minimal event.
      */
     Tick nextTick();
 
-    /** Execute the due heap's top (which nextTick() made fresh). */
+    /** Execute the event nextTick() located. */
     void fireTop();
-
-    /** Recycle @p n and invoke its callback (the fire hot path). */
-    void fireNode(EventNode *n, Tick when, int prio,
-                  std::uint64_t seq);
-
-    /**
-     * Execute every event due at tick @p t (which nextTick() just
-     * returned, leaving the due heap's top fresh at @p t — callers
-     * take the direct-fire/_ready path separately), at most @p budget
-     * of them, in (priority, sequence) order.  Drains the
-     * equal-timestamp run out of the due heap in one pass instead of
-     * paying a heap push/pop per event; events scheduled at @p t
-     * *during* the batch still interleave exactly as the per-event
-     * engine ordered them.
-     *
-     * @return Events executed (>= 1 when budget > 0).
-     */
-    std::uint64_t fireTick(Tick t, std::uint64_t budget);
-
-    /** Pop and execute the next live event, if any. */
-    bool step();
 
     /** Fold @p v into the event-trace fingerprint (FNV-1a). */
     void mixFingerprint(std::uint64_t v);
 
-    void heapPush(MinHeap &h, const HeapEntry &e);
-    void heapPop(MinHeap &h);
+    void heapPush(const EventNode *n);
+    void heapPop();
     /** Drop stale (cancelled / re-armed) entries off the top. */
-    void heapPrune(MinHeap &h);
+    void heapPrune();
+    /** Tick of the heap's top entry (which must be fresh), or
+     *  maxTick when the heap is empty. */
+    Tick heapTop() const;
 
     Tick _now = 0;
     /** Wheel scan position; never rewinds, always <= next wheel
@@ -376,15 +352,11 @@ class EventQueue
     std::size_t _wheelCount = 0;
     /** Direct-fire fast path: when the next tick's sole candidate is
      *  a single wheel node, nextTick() parks it here and fireTop()
-     *  fires it without a due-heap round trip.  Consumed by
-     *  fireTop(); runUntil() re-files it when its peek overshoots. */
+     *  fires it without a heap round trip.  Consumed by fireTop();
+     *  runUntil() pushes it into the heap when its peek overshoots. */
     EventNode *_ready = nullptr;
-    MinHeap _due;   ///< events at the tick being executed
-    MinHeap _early; ///< events behind _cursor (rare; see _cursor)
-    MinHeap _far;   ///< events beyond the wheel horizon
-    /** Scratch for fireTick()'s equal-timestamp extraction (swapped
-     *  in and out so a reentrant run() gets a fresh vector). */
-    std::vector<HeapEntry> _batchScratch;
+    /** Every pending event not in the wheel (see the file comment). */
+    std::vector<HeapEntry> _heap;
 
     std::vector<std::unique_ptr<EventNode>> _nodes;
     EventNode *_freelist = nullptr;

@@ -297,7 +297,7 @@ TEST(EventQueue, RearmTraceMatchesCancelPlusSchedule)
     EXPECT_EQ(viaRearm(), viaCancel());
 }
 
-// ---- wheel geometry: level boundaries, cascades, far heap ----------
+// ---- wheel geometry: level boundaries, cascades, the horizon -------
 
 TEST(EventQueue, FiresAcrossWheelLevelBoundaries)
 {
@@ -305,7 +305,7 @@ TEST(EventQueue, FiresAcrossWheelLevelBoundaries)
     std::vector<Tick> fired;
     // Straddle every level boundary plus the wheel horizon: level 0
     // covers [0, 256), level 1 [256, 65536), level 2 [65536, 2^24),
-    // level 3 [2^24, 2^32), and beyond 2^32 lives in the far heap.
+    // level 3 [2^24, 2^32), and beyond 2^32 waits in the heap.
     const std::vector<Tick> when = {
         255,
         256,
@@ -352,7 +352,7 @@ TEST(EventQueue, ScheduleIntoGapBehindCursorStillFires)
     eq.runUntil(5);
     EXPECT_EQ(eq.now(), 5);
     // Tick 100 is now behind the cursor but ahead of now(): the
-    // early heap must catch it and fire it first.
+    // heap must catch it and fire it first.
     eq.schedule(100 * ticks::ns, [&] { fired.push_back(eq.now()); });
     eq.run();
     EXPECT_EQ(fired, (std::vector<Tick>{100, 300}));
