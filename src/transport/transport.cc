@@ -231,7 +231,8 @@ Transport::onTimeout(CabAddress peer, std::uint16_t mb)
     }
 
     // Go-back-N: retransmit everything outstanding, in order.
-    for (auto &[seq, u] : flow.unacked) {
+    for (std::size_t i = 0; i < flow.unacked.size(); ++i) {
+        Unacked &u = flow.unacked[i];
         u.retransmitted = true;
         _stats.retransmissions.add();
         transmitAsync(peer, u.pkt);
@@ -298,7 +299,7 @@ Transport::sendReliable(CabAddress dst, std::uint16_t dstMailbox,
         auto pkt = encodePacket(h, data.slice(off, len));
         // The retransmit queue holds a view of the same packet bytes,
         // not a copy.
-        flow.unacked.emplace(h.seq, Unacked{pkt, now(), false});
+        flow.unacked.push_back(Unacked{h.seq, pkt, now(), false});
         armTimer(dst, dstMailbox, flow);
         co_await transmitPacket(dst, std::move(pkt));
     }
@@ -508,7 +509,7 @@ Transport::sendReliableMulticast(std::vector<CabAddress> dsts,
             if (f.failed)
                 continue;
             f.nextSeq = h.seq + 1;
-            f.unacked.emplace(h.seq, Unacked{pkt, now(), false});
+            f.unacked.push_back(Unacked{h.seq, pkt, now(), false});
             armTimer(dsts[j], dstMailbox, f);
             active.push_back(dsts[j]);
         }
@@ -570,17 +571,16 @@ Transport::handleAck(const Header &h)
 
     // RTT from the highest packet this ack newly covers.  Karn's
     // rule: retransmitted packets give ambiguous samples, skip them.
-    auto newest = flow.unacked.find(flow.base - 1);
-    if (newest != flow.unacked.end()) {
-        if (newest->second.retransmitted)
-            _stats.karnSuppressed.add();
-        else
-            rttSample(flow, now() - newest->second.sentAt);
+    while (!flow.unacked.empty() && flow.unacked.front().seq < flow.base) {
+        const Unacked &u = flow.unacked.front();
+        if (u.seq == flow.base - 1) {
+            if (u.retransmitted)
+                _stats.karnSuppressed.add();
+            else
+                rttSample(flow, now() - u.sentAt);
+        }
+        flow.unacked.pop_front();
     }
-
-    while (!flow.unacked.empty() &&
-           flow.unacked.begin()->first < flow.base)
-        flow.unacked.erase(flow.unacked.begin());
 
     if (flow.stalled) {
         // Forward progress after a timeout episode: recovered.

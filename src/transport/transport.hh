@@ -285,6 +285,7 @@ class Transport : public sim::Component
      *  shared bytes. */
     struct Unacked
     {
+        std::uint32_t seq = 0;
         sim::PacketView pkt;
         Tick sentAt = 0;           ///< First transmission time.
         bool retransmitted = false; ///< Karn: no RTT sample if set.
@@ -296,7 +297,10 @@ class Transport : public sim::Component
 
         std::uint32_t nextSeq = 0; ///< Next fresh sequence number.
         std::uint32_t base = 0;    ///< Oldest unacknowledged seq.
-        std::map<std::uint32_t, Unacked> unacked;
+        /** Outstanding packets, oldest first: sequence numbers are
+         *  handed out in increasing order, and a reset clears the
+         *  queue with the sequence space. */
+        sim::Fifo<Unacked> unacked;
         cab::TimerId timer = sim::invalidEventId;
         int timeouts = 0;
         bool failed = false;

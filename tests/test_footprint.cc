@@ -145,14 +145,14 @@ TEST(Footprint, TwoHubRoundTripMakesNoSpillAndAtMost6Allocations)
     expectSteadyStateAllocs(shape, 6);
 }
 
-// One HUB, reliable delivery, 64 B: 11.95 calls (190.5 calls and 48
-// spills before that work, 15.94 with the route copy; the
-// SenderFlow::unacked map node is one of what remains).
-TEST(Footprint, ReliableRoundTripMakesNoSpillAndAtMost12Allocations)
+// One HUB, reliable delivery, 64 B: 9.95 calls (190.5 calls and 48
+// spills before that work, 15.94 with the route copy, 11.95 with a
+// std::map node per data packet in SenderFlow::unacked).
+TEST(Footprint, ReliableRoundTripMakesNoSpillAndAtMost10Allocations)
 {
     Shape shape;
     shape.delivery = nectarine::Delivery::reliable;
-    expectSteadyStateAllocs(shape, 12);
+    expectSteadyStateAllocs(shape, 10);
 }
 
 // One HUB, 900 B datagram (two fragments): 10.00 calls (239.5 calls
