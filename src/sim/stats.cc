@@ -169,26 +169,4 @@ Histogram::reset()
     _min = _max = _sum = 0.0;
 }
 
-void
-StatRegistry::dump(std::ostream &os) const
-{
-    for (const auto &[name, c] : counters)
-        os << name << " " << c.value() << "\n";
-    for (const auto &[name, s] : stats) {
-        os << name << ".count " << s.count() << "\n";
-        os << name << ".mean " << s.mean() << "\n";
-        os << name << ".min " << s.min() << "\n";
-        os << name << ".max " << s.max() << "\n";
-    }
-}
-
-void
-StatRegistry::reset()
-{
-    for (auto &[name, c] : counters)
-        c.reset();
-    for (auto &[name, s] : stats)
-        s.reset();
-}
-
 } // namespace nectar::sim

@@ -11,9 +11,6 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <map>
-#include <ostream>
-#include <string>
 #include <vector>
 
 #include "types.hh"
@@ -157,32 +154,6 @@ class Histogram
 };
 
 /**
- * Tracks utilization of a resource: total busy time over a window.
- */
-class UtilizationStat
-{
-  public:
-    /** Record that the resource was busy for @p busy ticks. */
-    void addBusy(Tick busy) { busyTicks += busy; }
-
-    /** Fraction busy over [start, end]. */
-    double
-    utilization(Tick start, Tick end) const
-    {
-        if (end <= start)
-            return 0.0;
-        return static_cast<double>(busyTicks) /
-               static_cast<double>(end - start);
-    }
-
-    Tick busy() const { return busyTicks; }
-    void reset() { busyTicks = 0; }
-
-  private:
-    Tick busyTicks = 0;
-};
-
-/**
  * Deterministic accounting of deep copies on the packet path.
  *
  * The Nectar hardware exists to keep payload bytes from being copied
@@ -225,27 +196,5 @@ accountAlloc()
 {
     copyStats().bufferAllocs += 1;
 }
-
-/**
- * A named registry of statistics, dumpable as a table; the software
- * analogue of reading out the instrumentation board.
- */
-class StatRegistry
-{
-  public:
-    /** Register (or fetch) a named counter. */
-    Counter &counter(const std::string &name) { return counters[name]; }
-    /** Register (or fetch) named sample statistics. */
-    SampleStats &samples(const std::string &name) { return stats[name]; }
-
-    /** Write all statistics as "name value" lines. */
-    void dump(std::ostream &os) const;
-
-    void reset();
-
-  private:
-    std::map<std::string, Counter> counters;
-    std::map<std::string, SampleStats> stats;
-};
 
 } // namespace nectar::sim

@@ -7,7 +7,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <sstream>
 #include <vector>
 
 #include "sim/logging.hh"
@@ -228,36 +227,4 @@ TEST(Histogram, BadSigBitsIsFatal)
 {
     EXPECT_THROW(Histogram(-1), PanicError);
     EXPECT_THROW(Histogram(17), PanicError);
-}
-
-TEST(UtilizationStat, FractionOfWindow)
-{
-    UtilizationStat u;
-    u.addBusy(250);
-    u.addBusy(250);
-    EXPECT_DOUBLE_EQ(u.utilization(0, 1000), 0.5);
-    EXPECT_DOUBLE_EQ(u.utilization(0, 0), 0.0);
-}
-
-TEST(StatRegistry, DumpsNamedStats)
-{
-    StatRegistry reg;
-    reg.counter("hub.opens").add(3);
-    reg.samples("latency").record(10.0);
-    reg.samples("latency").record(20.0);
-
-    std::ostringstream os;
-    reg.dump(os);
-    std::string out = os.str();
-    EXPECT_NE(out.find("hub.opens 3"), std::string::npos);
-    EXPECT_NE(out.find("latency.count 2"), std::string::npos);
-    EXPECT_NE(out.find("latency.mean 15"), std::string::npos);
-}
-
-TEST(StatRegistry, ResetClearsValuesButKeepsNames)
-{
-    StatRegistry reg;
-    reg.counter("x").add(5);
-    reg.reset();
-    EXPECT_EQ(reg.counter("x").value(), 0u);
 }
