@@ -23,6 +23,7 @@
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
+#include <array>
 #include <chrono>
 #include <memory>
 #include <string>
@@ -110,18 +111,26 @@ legacyBfsPath(const FabricGraph &g, int from, int to,
 
 // ----- F1: route-table compile time ---------------------------------
 
-/** Wall-clock microseconds per call of @p fn over @p iters calls. */
+/** Wall-clock microseconds per call of @p fn: the median over nine
+ *  batches of @p iters calls, so one slow stretch of the host does
+ *  not become the recorded figure. */
 template <typename Fn>
 double
 timeUs(int iters, Fn &&fn)
 {
-    auto t0 = std::chrono::steady_clock::now();
-    for (int i = 0; i < iters; ++i)
-        fn();
-    auto t1 = std::chrono::steady_clock::now();
-    return std::chrono::duration<double, std::micro>(t1 - t0)
-               .count() /
-           iters;
+    std::array<double, 9> batchUs{};
+    for (double &us : batchUs) {
+        auto t0 = std::chrono::steady_clock::now();
+        for (int i = 0; i < iters; ++i)
+            fn();
+        auto t1 = std::chrono::steady_clock::now();
+        us = std::chrono::duration<double, std::micro>(t1 - t0)
+                 .count() /
+             iters;
+    }
+    auto mid = batchUs.begin() + batchUs.size() / 2;
+    std::nth_element(batchUs.begin(), mid, batchUs.end());
+    return *mid;
 }
 
 void
